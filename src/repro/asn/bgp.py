@@ -9,7 +9,7 @@ through to the following hop).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.util.ipaddr import IPv4Prefix, int_to_ip
 from repro.util.radix import RadixTrie
@@ -38,14 +38,27 @@ class RouteTable:
 
     def __init__(self) -> None:
         self._trie: RadixTrie[int] = RadixTrie()
-        self._ixp_prefixes: List[IPv4Prefix] = []
-        self._by_origin: Dict[int, List[IPv4Prefix]] = {}
-        self._ixp_org: RadixTrie[int] = RadixTrie()
+        #: origin -> its prefixes (a dict as an insertion-ordered set),
+        #: IXP LANs under ``IXP_ASN``.  A re-announced prefix moves to
+        #: its new origin, so this always agrees with the trie.
+        self._by_origin: Dict[int, Dict[IPv4Prefix, None]] = {}
+        #: Exchange operator ASN per IXP LAN prefix.
+        self._ixp_org: Dict[IPv4Prefix, int] = {}
 
     def announce(self, prefix: IPv4Prefix, origin: int) -> None:
-        """Record that ``origin`` announces ``prefix`` in BGP."""
+        """Record that ``origin`` announces ``prefix`` in BGP.
+
+        The latest announcement of a prefix replaces any earlier one,
+        including an IXP LAN's operator ASN.
+        """
+        previous = self._trie.exact(prefix)
+        if previous is not None and previous != origin:
+            del self._by_origin[previous][prefix]
+            if not self._by_origin[previous]:
+                del self._by_origin[previous]
+        self._ixp_org.pop(prefix, None)
         self._trie.insert(prefix, origin)
-        self._by_origin.setdefault(origin, []).append(prefix)
+        self._by_origin.setdefault(origin, {})[prefix] = None
 
     def add_ixp_prefix(self, prefix: IPv4Prefix,
                        org_asn: Optional[int] = None) -> None:
@@ -57,14 +70,16 @@ class RouteTable:
         addresses, reproducing the pre-bdrmap misattribution of member
         ports.
         """
-        self._trie.insert(prefix, IXP_ASN)
-        self._ixp_prefixes.append(prefix)
+        self.announce(prefix, IXP_ASN)
         if org_asn is not None:
-            self._ixp_org.insert(prefix, org_asn)
+            self._ixp_org[prefix] = org_asn
 
     def ixp_org(self, address: int) -> Optional[int]:
         """Exchange operator ASN for an IXP LAN ``address``, if known."""
-        return self._ixp_org.lookup(address)
+        hit = self._trie.lookup_prefix(address)
+        if hit is None or hit[1] != IXP_ASN:
+            return None
+        return self._ixp_org.get(hit[0])
 
     def origin(self, address: int) -> int:
         """Origin AS of ``address`` (``IXP_ASN``/``UNKNOWN_ASN`` sentinels)."""
@@ -84,8 +99,8 @@ class RouteTable:
         return list(self._by_origin.get(origin, ()))
 
     def ixp_prefixes(self) -> List[IPv4Prefix]:
-        """All registered IXP peering LAN prefixes."""
-        return list(self._ixp_prefixes)
+        """All registered IXP peering LAN prefixes (insertion order)."""
+        return self.prefixes_of(IXP_ASN)
 
     def __len__(self) -> int:
         return len(self._trie)
@@ -98,11 +113,9 @@ class RouteTable:
 
     def to_lines(self) -> Iterator[str]:
         """Serialize as ``prefix|origin[|ixp_org]`` lines (sorted)."""
-        for prefix, origin in sorted(self.items(),
-                                     key=lambda item: (item[0].network,
-                                                       item[0].length)):
+        for prefix, origin in self.items():
             if origin == IXP_ASN:
-                org = self._ixp_org.exact(prefix)
+                org = self._ixp_org.get(prefix)
                 if org is not None:
                     yield "%s|%d|%d" % (prefix, origin, org)
                     continue

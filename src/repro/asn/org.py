@@ -9,7 +9,7 @@ training ASN is not an error) and the section 5 reasonableness test.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
 
 
 class ASOrgMap:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.alias.midar import AliasResolution
 from repro.asn.bgp import IXP_ASN, RouteTable, UNKNOWN_ASN

@@ -100,7 +100,7 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.hoiho import Hoiho, HoihoConfig, HoihoResult
 from repro.core.io import conventions_to_json

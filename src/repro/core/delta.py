@@ -27,7 +27,7 @@ Three layers use these plans:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.hoiho import (
     HoihoConfig,

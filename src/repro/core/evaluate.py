@@ -9,7 +9,7 @@ distinct congruent extracted ASNs that gates usability (section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from repro.core.congruence import Outcome, classify_extraction
 from repro.core.regex_model import Regex

@@ -14,7 +14,7 @@ text would behave.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.core.evaluate import NCScore
 from repro.core.hoiho import HoihoResult

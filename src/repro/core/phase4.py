@@ -10,7 +10,7 @@ surface (the training ASN might be the wrong one).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.evaluate import NCScore, evaluate_nc
 from repro.core.regex_model import Regex

@@ -10,7 +10,7 @@ Items are grouped per registered-domain suffix; the learner works on one
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 

@@ -16,7 +16,7 @@ from repro.core.evaluate import NCScore, evaluate_nc
 from repro.core.hoiho import learn_suffix
 from repro.core.regex_model import Regex
 from repro.core.select import LearnedConvention
-from repro.core.types import SuffixDataset, TrainingItem
+from repro.core.types import SuffixDataset
 from repro.eval.common import render_table
 from repro.paperdata import FIGURE4_ITEMS, NC7_PATTERNS
 

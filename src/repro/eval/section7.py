@@ -16,10 +16,10 @@ Two preliminary investigations from the paper's final section:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.core.asname import NameConvention, NameHoiho
-from repro.eval.common import pct, render_table
+from repro.eval.common import pct
 from repro.eval.context import ExperimentContext
 from repro.psl import default_psl
 

@@ -19,7 +19,7 @@ argument for pairing regexes with topology in the first place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.bdrmapit.hints import apply_hints, hints_from_conventions
 from repro.bdrmapit.metrics import agreement_metrics

@@ -12,13 +12,12 @@ improves in 2017.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.core.parallel import ParallelConfig, parallel_map
 from repro.core.types import TrainingItem
 from repro.itdk.builder import BuildConfig
-from repro.naming.assigner import NamingConfig
 from repro.traceroute.campaign import CampaignConfig
 from repro.core.resilience import ResilienceStats, RetryPolicy
 from repro.obs.trace import (

@@ -21,7 +21,7 @@ which digit string was actually embedded, and which hazards fired.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.naming.asnames import as_name_tokens
 from repro.naming.conventions import (

@@ -12,7 +12,7 @@ Members record their exchange ports with realistic imperfections:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.peeringdb.snapshot import IXRecord, NetIXLan, PeeringDBSnapshot
 from repro.topology.world import World

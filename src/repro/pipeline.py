@@ -10,10 +10,9 @@ synthetic netixlan records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.asn.org import ASOrgMap
 from repro.bdrmapit.algorithm import AnnotationConfig, annotate
 from repro.bdrmapit.graph import RouterGraph, build_router_graph
 from repro.core.types import TrainingItem

@@ -8,6 +8,10 @@ Implements the algorithm from https://publicsuffix.org/list/:
 * among matching rules the one with the most labels wins;
 * if no rule matches, the public suffix is the rightmost label.
 
+Rules live in a reversed-label tree, so a lookup follows the hostname's
+labels (and any ``*`` branches) from the right instead of testing every
+rule.
+
 The *registered domain* (what the paper calls the suffix an operator
 registers, e.g. ``example.com``) is the public suffix plus one more label.
 """
@@ -32,8 +36,12 @@ class PublicSuffixList:
     """
 
     def __init__(self, rules: Iterable[str]) -> None:
-        # Map rule tuple (labels, reversed) -> is_exception
-        self._rules: Dict[Tuple[str, ...], bool] = {}
+        # Reversed-label tree: each node maps a label (or ``*``) to its
+        # child; a node ending a rule holds that rule's
+        # ``(labels, is_exception)`` under the ``None`` key, which no
+        # label can collide with.
+        self._tree: Dict[Optional[str], object] = {}
+        self._size = 0
         for raw in rules:
             line = raw.strip()
             if not line or line.startswith("//"):
@@ -45,7 +53,12 @@ class PublicSuffixList:
                 line = line[1:]
             labels = tuple(reversed(line.lower().lstrip(".").split(".")))
             if labels and all(labels):
-                self._rules[labels] = exception
+                node: Dict = self._tree
+                for label in labels:
+                    node = node.setdefault(label, {})
+                if None not in node:
+                    self._size += 1
+                node[None] = (labels, exception)
 
     @classmethod
     def from_text(cls, text: str) -> "PublicSuffixList":
@@ -59,18 +72,28 @@ class PublicSuffixList:
             return cls.from_text(handle.read())
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return self._size
 
     def _matching_rules(
             self, labels: List[str]) -> List[Tuple[Tuple[str, ...], bool]]:
-        """All rules matching the reversed label list ``labels``."""
+        """All rules matching the reversed label list ``labels``: a walk
+        down the tree following each label's exact and ``*`` children."""
         matches = []
-        for rule, exception in self._rules.items():
-            if len(rule) > len(labels):
-                continue
-            if all(r == "*" or r == lab
-                   for r, lab in zip(rule, labels)):
-                matches.append((rule, exception))
+        frontier = [self._tree]
+        for label in labels:
+            keys = (label, "*") if label != "*" else ("*",)
+            below = []
+            for node in frontier:
+                for key in keys:
+                    child = node.get(key)
+                    if child is not None:
+                        below.append(child)
+                        rule = child.get(None)
+                        if rule is not None:
+                            matches.append(rule)
+            if not below:
+                break
+            frontier = below
         return matches
 
     def public_suffix(self, hostname: str) -> Optional[str]:

@@ -43,8 +43,10 @@ logger = logging.getLogger(__name__)
 
 #: Version of the pickled artifact layouts and the fingerprint keying
 #: scheme; part of every fingerprint.  v2: dict keys are type-tagged
-#: tokens and the payload nests beside the schema version.
-STORE_SCHEMA_VERSION = 2
+#: tokens and the payload nests beside the schema version.  v3: the
+#: route table's prefix trie (pickled inside worlds and timelines) is
+#: one dict per prefix length.
+STORE_SCHEMA_VERSION = 3
 
 #: Artifact kinds the store recognises (a kind is just a subdirectory).
 KIND_WORLD = "worlds"

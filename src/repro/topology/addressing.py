@@ -10,7 +10,7 @@ a separate pool and are registered with the route table's IXP sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List
 
 from repro.asn.bgp import RouteTable
 from repro.topology.asgraph import ASGraph, Tier

@@ -2,13 +2,18 @@
 
 The location codes used in router names map to real metro coordinates,
 and link delays follow great-circle distance at the speed of light in
-fiber.  This is the substrate the DRoP-style geolocation learner
-(:mod:`repro.core.geohint`) validates hostname location hints against:
-an RTT sample bounds how far a router can be from the vantage point.
+fiber.  Link delays are memoised per location-code pair (at most
+``len(COORDS) ** 2`` entries for the codes routers carry; traceroute
+simulation asks for them millions of times); a memo hit returns the
+bit-identical float the formula computed.  This is the substrate the
+DRoP-style geolocation learner (:mod:`repro.core.geohint`) validates
+hostname location hints against: an RTT sample bounds how far a router
+can be from the vantage point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Optional, Tuple
 
@@ -65,6 +70,7 @@ def distance_km(a: str, b: str) -> Optional[float]:
     return 2.0 * _EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
+@functools.lru_cache(maxsize=None)
 def propagation_ms(a: str, b: str) -> float:
     """One-way propagation delay between two location codes (ms).
 

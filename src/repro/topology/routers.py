@@ -20,9 +20,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.asn.relationships import Relationship
 from repro.topology.addressing import AddressPlan
-from repro.topology.asgraph import ASGraph, ASNode, IXPSpec, Tier
+from repro.topology.asgraph import ASGraph, ASNode, Tier
 from repro.util.ipaddr import IPv4Prefix, int_to_ip
 from repro.util.rand import substream
 

@@ -18,7 +18,6 @@ from repro.topology.asgraph import (
     ASGraph,
     ASGraphConfig,
     ASNode,
-    Tier,
     generate_asgraph,
 )
 from repro.topology.routers import (

@@ -15,18 +15,10 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.topology.routers import (
-    Interface,
-    InterfaceKind,
-    Link,
-    LinkKind,
-    Router,
-    RouterLevelTopology,
-)
+from repro.topology.routers import Interface, Link, LinkKind, Router
 from repro.topology import geo
 from repro.topology.world import World
 from repro.traceroute.routing import RoutingModel
-from repro.util.ipaddr import IPv4Prefix
 from repro.util.radix import RadixTrie
 from repro.util.rand import substream
 

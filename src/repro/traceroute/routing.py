@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.asn.relationships import ASRelationships
 from repro.topology.asgraph import ASGraph
 
 # Route preference classes, lower is better.

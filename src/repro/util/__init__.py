@@ -9,8 +9,8 @@ cycles:
   (section 3.1).
 * :mod:`repro.util.ipaddr` -- small IPv4 helpers plus detection of IP
   addresses embedded in hostnames (figure 3b of the paper).
-* :mod:`repro.util.radix` -- a binary radix trie providing longest-prefix
-  match, the substrate for prefix-to-AS lookups.
+* :mod:`repro.util.radix` -- longest-prefix match over one hash table
+  per prefix length, the substrate for prefix-to-AS lookups.
 * :mod:`repro.util.rand` -- deterministic random substreams so that every
   experiment is reproducible from a single seed.
 """

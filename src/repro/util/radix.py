@@ -1,27 +1,24 @@
-"""A binary radix trie over IPv4 prefixes with longest-prefix match.
+"""Longest-prefix match over IPv4 prefixes: one hash table per length.
 
 This is the substrate for the BGP-derived prefix-to-AS mapping used by
-RouterToAsAssignment and bdrmapIT (section 2.1 of the paper).  The trie
-stores one value per prefix; lookups return the value attached to the
-longest prefix covering an address.
+RouterToAsAssignment and bdrmapIT (section 2.1 of the paper).  The
+table stores one value per prefix; lookups return the value attached to
+the longest prefix covering an address.
+
+Prefixes are kept in one dict per prefix length present, mapping the
+network address to the stored ``(prefix, value)`` pair.  A lookup masks
+the address to each present length, longest first, and the first dict
+hit is the answer: at most one probe per distinct length (a routing
+table has a handful), no per-bit walk and no allocation on a match.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.util.ipaddr import IPv4Prefix
 
 V = TypeVar("V")
-
-
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: List[Optional["_Node[V]"]] = [None, None]
-        self.value: Optional[V] = None
-        self.has_value = False
 
 
 class RadixTrie(Generic[V]):
@@ -40,30 +37,22 @@ class RadixTrie(Generic[V]):
     """
 
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
-        self._size = 0
+        #: length -> {network -> (prefix, value)}.
+        self._tables: Dict[int, Dict[int, Tuple[IPv4Prefix, V]]] = {}
+        #: (mask, table) for every present length, longest first.
+        self._probes: List[Tuple[int, Dict[int, Tuple[IPv4Prefix, V]]]] = []
 
     def __len__(self) -> int:
-        return self._size
-
-    @staticmethod
-    def _bit(address: int, depth: int) -> int:
-        return (address >> (31 - depth)) & 1
+        return sum(len(table) for table in self._tables.values())
 
     def insert(self, prefix: IPv4Prefix, value: V) -> None:
         """Attach ``value`` to ``prefix``, replacing any existing value."""
-        node = self._root
-        for depth in range(prefix.length):
-            bit = self._bit(prefix.network, depth)
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if not node.has_value:
-            self._size += 1
-        node.value = value
-        node.has_value = True
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._probes = [(IPv4Prefix(0, length).mask, self._tables[length])
+                            for length in sorted(self._tables, reverse=True)]
+        table[prefix.network] = (prefix, value)
 
     def lookup(self, address: int) -> Optional[V]:
         """Return the value of the longest prefix covering ``address``."""
@@ -72,47 +61,20 @@ class RadixTrie(Generic[V]):
 
     def lookup_prefix(self, address: int) -> Optional[Tuple[IPv4Prefix, V]]:
         """Like :meth:`lookup` but also return the matching prefix."""
-        node = self._root
-        best: Optional[Tuple[IPv4Prefix, V]] = None
-        if node.has_value:
-            best = (IPv4Prefix(0, 0), node.value)  # type: ignore[arg-type]
-        network = 0
-        for depth in range(32):
-            bit = self._bit(address, depth)
-            node = node.children[bit]  # type: ignore[assignment]
-            if node is None:
-                break
-            network |= bit << (31 - depth)
-            if node.has_value:
-                best = (IPv4Prefix(network & self._mask(depth + 1), depth + 1),
-                        node.value)  # type: ignore[arg-type]
-        return best
-
-    @staticmethod
-    def _mask(length: int) -> int:
-        if length == 0:
-            return 0
-        return (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+        for mask, table in self._probes:
+            hit = table.get(address & mask)
+            if hit is not None:
+                return hit
+        return None
 
     def exact(self, prefix: IPv4Prefix) -> Optional[V]:
         """Return the value stored exactly at ``prefix``, if any."""
-        node = self._root
-        for depth in range(prefix.length):
-            bit = self._bit(prefix.network, depth)
-            node = node.children[bit]  # type: ignore[assignment]
-            if node is None:
-                return None
-        return node.value if node.has_value else None
+        hit = self._tables.get(prefix.length, {}).get(prefix.network)
+        return hit[1] if hit is not None else None
 
     def items(self) -> Iterator[Tuple[IPv4Prefix, V]]:
-        """Yield every (prefix, value) pair, in depth-first order."""
-        stack: List[Tuple[_Node[V], int, int]] = [(self._root, 0, 0)]
-        while stack:
-            node, network, depth = stack.pop()
-            if node.has_value:
-                yield (IPv4Prefix(network, depth), node.value)  # type: ignore[misc]
-            for bit in (1, 0):
-                child = node.children[bit]
-                if child is not None:
-                    stack.append(
-                        (child, network | (bit << (31 - depth)), depth + 1))
+        """Yield every (prefix, value) pair in (network, length) order."""
+        pairs = [pair for table in self._tables.values()
+                 for pair in table.values()]
+        pairs.sort(key=lambda pair: (pair[0].network, pair[0].length))
+        return iter(pairs)

@@ -22,7 +22,7 @@ from repro.core.regex_model import (
 )
 from repro.core.types import SuffixDataset, TrainingItem
 from repro.core.evaluate import evaluate_regex
-from repro.psl import default_psl
+from repro.psl import PublicSuffixList, default_psl
 from repro.util.ipaddr import IPv4Prefix, int_to_ip, ip_to_int
 from repro.util.radix import RadixTrie
 from repro.util.strings import damerau_levenshtein, digit_runs, split_segments
@@ -107,26 +107,98 @@ def test_ip_round_trip(value):
     assert ip_to_int(int_to_ip(value)) == value
 
 
-@given(st.lists(st.tuples(addresses,
-                          st.integers(min_value=0, max_value=32)),
-                max_size=40),
-       addresses)
-def test_radix_matches_linear_scan(entries, probe):
+#: Addresses that nest: a handful of networks under 10.0.0.0/8 (so
+#: random lengths over them produce covering and covered prefixes),
+#: mixed with the whole address space.
+nesting_addresses = st.one_of(
+    st.sampled_from([0x0A000000, 0x0A000001, 0x0A000002, 0x0A000003,
+                     0x0A010000, 0x0A0100FF, 0x0AFFFFFF]),
+    addresses)
+#: Prefix lengths biased to the edges of the range.
+prefix_lengths = st.one_of(st.sampled_from([0, 31, 32]),
+                           st.integers(min_value=0, max_value=32))
+
+
+def _masked(address, length):
+    mask = 0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
+    return IPv4Prefix(address & mask, length)
+
+
+@given(st.lists(st.tuples(nesting_addresses, prefix_lengths), max_size=40),
+       st.lists(nesting_addresses, min_size=1, max_size=8))
+def test_radix_matches_linear_scan(entries, probes):
     trie = RadixTrie()
-    prefixes = []
-    for address, length in entries:
-        mask = 0 if length == 0 \
-            else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
-        prefix = IPv4Prefix(address & mask, length)
-        trie.insert(prefix, str(prefix))
-        prefixes.append(prefix)
-    expected = None
-    best_len = -1
-    for prefix in prefixes:
-        if prefix.contains(probe) and prefix.length > best_len:
-            best_len = prefix.length
-            expected = str(prefix)
-    assert trie.lookup(probe) == expected
+    stored = {}
+    for index, (address, length) in enumerate(entries):
+        prefix = _masked(address, length)
+        trie.insert(prefix, index)
+        stored[prefix] = index
+    assert len(trie) == len(stored)
+    # items(): every pair once, in (network, length) order -- the
+    # depth-first order of a binary trie.
+    assert list(trie.items()) == sorted(
+        stored.items(), key=lambda item: (item[0].network, item[0].length))
+    for prefix, value in stored.items():
+        assert trie.exact(prefix) == value
+    for probe in probes:
+        covering = [prefix for prefix in stored if prefix.contains(probe)]
+        expected = None
+        if covering:
+            best = max(covering, key=lambda prefix: prefix.length)
+            expected = (best, stored[best])
+        assert trie.lookup_prefix(probe) == expected
+        assert trie.lookup(probe) == (expected[1] if expected else None)
+        host = IPv4Prefix(probe, 32)
+        assert trie.exact(host) == stored.get(host)
+
+
+# ---------------------------------------------------------------------------
+# Public suffix list: the label tree against a naive linear rule matcher.
+# ---------------------------------------------------------------------------
+
+psl_labels = st.sampled_from(["a", "b", "c", "com"])
+psl_rules = st.lists(
+    st.tuples(st.booleans(),
+              st.lists(st.one_of(psl_labels, st.just("*")),
+                       min_size=1, max_size=3)),
+    max_size=12)
+psl_hostnames = st.lists(st.one_of(psl_labels, st.just("d")),
+                         min_size=1, max_size=5)
+
+
+def _naive_public_suffix(rules, hostname):
+    """The PSL algorithm as a linear scan over every rule."""
+    parsed = {}
+    for exception, labels in rules:
+        parsed[tuple(reversed(labels))] = exception
+    labels = list(reversed(hostname.split(".")))
+    matches = [(rule, exception) for rule, exception in parsed.items()
+               if len(rule) <= len(labels)
+               and all(r == "*" or r == label
+                       for r, label in zip(rule, labels))]
+    exceptions = [len(rule) - 1 for rule, exception in matches if exception]
+    if exceptions:
+        width = max(exceptions)
+    elif matches:
+        width = max(len(rule) for rule, _ in matches)
+    else:
+        width = 1
+    return ".".join(reversed(labels[:min(width, len(labels))]))
+
+
+@given(psl_rules, psl_hostnames)
+def test_psl_matches_naive_rule_scan(rules, host_labels):
+    text = "\n".join(("!" if exception else "") + ".".join(labels)
+                     for exception, labels in rules)
+    psl = PublicSuffixList.from_text(text)
+    hostname = ".".join(host_labels)
+    suffix = _naive_public_suffix(rules, hostname)
+    assert psl.public_suffix(hostname) == suffix
+    width = suffix.count(".") + 1
+    expected_domain = (".".join(host_labels[-(width + 1):])
+                       if len(host_labels) > width else None)
+    assert psl.registered_domain(hostname) == expected_domain
+    assert len(psl) == len({tuple(labels) for _, labels in rules})
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,24 @@ class TestStoreRoundTrip:
         # canonical payload keys carry their type tag ("s:" = str)
         assert sidecar["payload"]["s:seed"] == 9
 
+    def test_v2_entry_reads_as_miss(self, store, monkeypatch):
+        # Schema 2 pickled the route table's prefix trie as a bit-walk
+        # tree (``_root``/``_size``).  Such an entry must miss, never
+        # unpickle into a trie without its per-length tables.
+        from repro.asn.bgp import RouteTable
+        from repro.util.radix import RadixTrie
+
+        old = RouteTable()
+        old._trie = RadixTrie.__new__(RadixTrie)
+        old._trie.__dict__.update(_root=None, _size=0)
+        payload = {"kind": "world", "seed": 3}
+        monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 2)
+        store.put(KIND_WORLD, payload, old)
+        monkeypatch.undo()
+        assert STORE_SCHEMA_VERSION == 3
+        assert store.get(KIND_WORLD, payload) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
+
     def test_contains(self, store):
         payload = {"seed": 2}
         assert not store.contains(KIND_WORLD, payload)

@@ -63,3 +63,17 @@ class TestGeoTable:
         # The feasibility floor must be optimistic (no path stretch).
         assert geo.min_rtt_ms("fra", "nyc") <= \
             2.0 * geo.propagation_ms("fra", "nyc")
+
+    def test_memoised_delays_equal_the_formula_exactly(self):
+        # The memo must hand back the bit-identical float, on the first
+        # call (miss) and on every later one (hit), for every pair.
+        geo.propagation_ms.cache_clear()
+        codes = sorted(geo.COORDS) + ["zzz"]
+        for a in codes:
+            for b in codes:
+                distance = geo.distance_km(a, b)
+                delay = 0.0 if distance is None \
+                    else distance * geo._PATH_STRETCH / geo._FIBER_KM_PER_MS
+                for _ in range(2):
+                    assert geo.propagation_ms(a, b) == delay
+                    assert geo.propagation_ms.__wrapped__(a, b) == delay
