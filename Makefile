@@ -64,6 +64,7 @@ obs-window-bench:
 bench-tables:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Unused imports in the package (stdlib ast; also a tier-1 test).
+# Unused imports in the package, tests and benchmarks (stdlib ast;
+# also a tier-1 test).
 lint:
-	$(PYTHON) tests/test_lint.py src/repro
+	$(PYTHON) tests/test_lint.py

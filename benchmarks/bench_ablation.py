@@ -6,8 +6,6 @@ improves usable-convention counts, and the full bdrmapIT beats pure
 election on ground-truth accuracy.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.eval import ablation
 

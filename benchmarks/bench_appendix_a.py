@@ -5,8 +5,6 @@ and asserts they score identically on the figure-4 data, with the
 learner selecting the paper's preferred two-regex NC #7.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.eval import appendix_a
 

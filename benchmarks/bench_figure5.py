@@ -6,8 +6,6 @@ late (bdrmapIT-era) snapshots find substantially more good conventions
 than the early RouterToAsAssignment era.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.eval import figure5
 

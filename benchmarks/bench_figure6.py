@@ -7,8 +7,6 @@ operator-curated PeeringDB training is best (96.0%), and crediting
 sibling ASNs adds roughly one to two points.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.eval import figure6
 

@@ -6,8 +6,6 @@ feasibility constraints identify the router's true location almost
 always.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.geohint import learn_geo_conventions
 

@@ -6,8 +6,6 @@ synthetic ITDK and checks that the alias sets it proposes are precise
 against ground truth -- the property that made the 2019 system useful.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.routername import RouterItem, learn_router_names
 

@@ -8,8 +8,6 @@ ground-truth accuracy, and extractions from good conventions are used
 at a higher rate than from poorer classes.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.eval import section5
 

@@ -7,8 +7,6 @@ and the learned regexes match more hostnames in the full reverse zone
 than traceroute ever observed (5.4K -> 22.5K in the paper).
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.eval import section7
 

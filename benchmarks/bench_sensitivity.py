@@ -7,8 +7,6 @@ reasonableness test keeps wrongly-used extractions a small minority of
 decisions at every level.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.eval import sensitivity
 

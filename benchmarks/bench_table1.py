@@ -6,8 +6,6 @@ often place it at the start of the hostname (50.8% of usable NCs in
 the paper), and every class is represented.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.taxonomy import Taxonomy
 from repro.eval import table1

@@ -6,8 +6,6 @@ in ten incongruent hostnames (92.5% in the paper), using most correct
 hostnames while rejecting most incorrect ones.
 """
 
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.eval import table2
 

@@ -51,7 +51,7 @@ from repro.core.types import SuffixDataset, TrainingItem
 #: ``repro.serve.http`` measured by the open/closed-loop load
 #: generator (throughput, p50/p90/p99 latency, Zipf workload
 #: fingerprint shared with the in-process serve kernels).
-#: v8: new ``shadow`` section -- dual-annotation (ShadowService)
+#: v8: new ``shadow`` section -- dual-annotation (shadow mode)
 #: overhead vs a single set on the Zipf workload, asserted under
 #: ``SHADOW_OVERHEAD_BUDGET``, plus the per-suffix disagreement ledger
 #: checked exact on a constructed divergent world.
@@ -671,8 +671,8 @@ def run_shadow_bench(rounds: int = 5) -> Dict[str, object]:
 
     * ``overhead`` -- memo-warm ``annotate_batch`` over the Zipf
       workload, a plain :class:`~repro.serve.service.AnnotationService`
-      vs a :class:`~repro.serve.shadow.ShadowService` carrying an
-      identical candidate (each side its own memo).  The dual/single
+      vs one shadowing an identical candidate (each side its own
+      memo).  The dual/single
       ratio is the cost of shadowing a request stream, asserted under
       :data:`SHADOW_OVERHEAD_BUDGET`.
     * ``ledger`` -- the per-suffix disagreement ledger run over
@@ -683,15 +683,14 @@ def run_shadow_bench(rounds: int = 5) -> Dict[str, object]:
     """
     from repro.serve.loadgen import workload_fingerprint
     from repro.serve.service import AnnotationService
-    from repro.serve.shadow import (DIVERGENCE_CLASSES, CLASS_AGREE,
-                                    ShadowService)
+    from repro.serve.shadow import DIVERGENCE_CLASSES, CLASS_AGREE
 
     result = serve_conventions()
     zipf = zipf_hostnames()
 
     plain = AnnotationService(result)
     plain.warm()
-    shadow = ShadowService(AnnotationService(result))
+    shadow = AnnotationService(result)
     shadow.load_candidate(result)  # identical candidate: pure overhead
     shadow.warm()
     plain.annotate_batch(zipf)   # fill both sides' memos before timing
@@ -701,7 +700,7 @@ def run_shadow_bench(rounds: int = 5) -> Dict[str, object]:
     ratio = dual_seconds / single_seconds if single_seconds else 0.0
 
     primary, candidate, hostnames, expected = shadow_divergence_case()
-    ledger_service = ShadowService(AnnotationService(primary))
+    ledger_service = AnnotationService(primary)
     ledger_service.load_candidate(candidate)
     ledger_service.warm()
     shadow_asns = ledger_service.annotate_batch(hostnames)

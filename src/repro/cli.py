@@ -100,7 +100,7 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.hoiho import Hoiho, HoihoConfig, HoihoResult
 from repro.core.io import conventions_to_json
@@ -122,13 +122,14 @@ from repro.eval import (
     table2,
 )
 from repro.obs.manifest import write_manifest
+from repro.obs.metrics import render_snapshot
 from repro.obs.prom import to_prometheus
 from repro.obs.summary import render_summary
 from repro.obs.trace import NULL_TRACER, Tracer, load_trace
 from repro.serve import AnnotationService, BulkAnnotator, iter_hostnames
 from repro.serve.engine import Checkpoint, DEFAULT_CHUNK_SIZE, SINKS
 from repro.serve.memo import DEFAULT_MEMO_SIZE
-from repro.serve.metrics import render_snapshot
+from repro.serve.service import warmed_service
 from repro.store import KIND_HOIHO, KINDS, ArtifactStore
 
 _EXPERIMENTS = {
@@ -507,6 +508,30 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     return _cmd_annotate(args)
 
 
+def _serve_args_ok(args: argparse.Namespace) -> bool:
+    """The ``--conventions``/``--memo-size`` checks ``serve`` and
+    ``serve-http`` share; prints the complaint and returns False."""
+    if args.conventions is None:
+        print("%s requires --conventions FILE" % args.command,
+              file=sys.stderr)
+        return False
+    if args.memo_size < 0:
+        print("--memo-size must be >= 0, got %d" % args.memo_size,
+              file=sys.stderr)
+        return False
+    return True
+
+
+def _serving_service(args: argparse.Namespace,
+                     ) -> Tuple[AnnotationService, int]:
+    """The warmed ``(service, plan count)`` ``serve``/``serve-http``
+    run, shadowing ``--shadow`` when given."""
+    with open(args.conventions, encoding="utf-8") as handle:
+        conventions_json = handle.read()
+    return warmed_service(conventions_json, memo_size=args.memo_size,
+                          shadow=args.shadow, log=sys.stderr)
+
+
 def _write_metrics_snapshot(path: str, service: AnnotationService) -> None:
     import json as _json
     with open(path, "w", encoding="utf-8") as handle:
@@ -521,22 +546,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     before exiting -- an interrupted session keeps its numbers."""
     import signal as _signal
 
-    if args.conventions is None:
-        print("serve requires --conventions FILE", file=sys.stderr)
+    from repro.serve.shadow import render_shadow_report
+
+    if not _serve_args_ok(args):
         return 2
-    if args.memo_size < 0:
-        print("--memo-size must be >= 0, got %d" % args.memo_size,
-              file=sys.stderr)
-        return 2
-    service = AnnotationService.from_json_file(args.conventions,
-                                               memo_size=args.memo_size)
-    warmed = service.warm()
-    if args.shadow:
-        from repro.serve.shadow import ShadowService, render_shadow_report
-        service = ShadowService(service)
-        loaded = service.load_candidate_file(args.shadow)
-        print("# shadowing %d candidate convention(s) from %s"
-              % (loaded, args.shadow), file=sys.stderr)
+    service, warmed = _serving_service(args)
     print("# serving %d convention(s) from %s"
           % (warmed, args.conventions), file=sys.stderr)
 
@@ -572,12 +586,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     """The network annotation server (see :mod:`repro.serve.http`)."""
     from repro.serve.http import HttpConfig, serve_http
 
-    if args.conventions is None:
-        print("serve-http requires --conventions FILE", file=sys.stderr)
-        return 2
-    if args.memo_size < 0:
-        print("--memo-size must be >= 0, got %d" % args.memo_size,
-              file=sys.stderr)
+    if not _serve_args_ok(args):
         return 2
     history = args.history
     if history is None and args.cache_dir and not args.no_cache:
@@ -607,18 +616,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print("repro-hoiho serve-http: %s" % exc, file=sys.stderr)
         return 2
-    service = AnnotationService.from_json_file(args.conventions,
-                                               memo_size=args.memo_size)
-    warmed = service.warm()
-    if args.shadow:
-        # Wrap and load before serve_http forks so every worker
-        # inherits the warmed candidate alongside the primary.
-        from repro.serve.shadow import ShadowService
-        shadow = ShadowService(service)
-        loaded = shadow.load_candidate_file(args.shadow)
-        service = shadow
-        print("# shadowing %d candidate convention(s) from %s"
-              % (loaded, args.shadow), file=sys.stderr)
+    service, warmed = _serving_service(args)
 
     def _ready(port: int) -> None:
         print("# serving %d convention(s) on http://%s:%d (%d worker%s)"

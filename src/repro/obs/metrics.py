@@ -1,8 +1,8 @@
 """Counters and histograms: the metrics half of ``repro.obs``.
 
-Promoted from ``repro.serve.metrics`` (which now re-exports from here)
-so the serving layer, the learner, the snapshot pipeline, and the
-artifact store all share one registry vocabulary.  This module provides
+The serving layer grew these first; they live here so the serving
+layer, the learner, the snapshot pipeline, and the artifact store all
+share one registry vocabulary.  This module provides
 the three primitives Prometheus-style systems offer (counter, labelled
 counter family, histogram) as plain dict-backed objects cheap enough to
 update on every request, plus a :class:`MetricsRegistry` that owns them

@@ -15,24 +15,29 @@ pairs, this package *applies* them at production rates, in four layers:
 * :mod:`repro.serve.service` -- :class:`AnnotationService`, the
   embeddable façade: load/warm/reload conventions (JSON or
   :class:`~repro.store.ArtifactStore`), ``annotate_one`` /
-  ``annotate_batch``, graceful malformed-hostname handling;
+  ``annotate_batch``, graceful malformed-hostname handling, and shadow
+  mode (``load_candidate`` / ``report`` / ``promote``: a candidate
+  convention set annotated side-by-side, callers seeing only the live
+  set's answers);
 * :mod:`repro.serve.engine` -- :class:`BulkAnnotator`, chunked
   order-preserving streaming over files/stdin with optional process
   fan-out (byte-identical to serial; packed single-buffer chunk IPC,
   fork-inherited dispatch index, adaptive chunk sizing) and TSV/JSONL
   sinks;
-* :mod:`repro.serve.metrics` -- :class:`MetricsRegistry`, live
-  counters, per-suffix extraction counts, and latency percentiles;
 * :mod:`repro.serve.http` -- the network front-end: a pre-fork
   keep-alive HTTP server (single + batch annotate, ``/metrics``,
-  health/readiness, admin hot reload, graceful SIGTERM drain) whose
+  health/readiness, graceful SIGTERM drain, and the reload /
+  shadow-load / promote admin verbs driven from one table) whose
   workers fork-inherit one warmed service;
 * :mod:`repro.serve.loadgen` -- open/closed-loop HTTP load generator
   reporting throughput and latency percentiles;
-* :mod:`repro.serve.shadow` -- :class:`ShadowService`, side-by-side
-  shadow deployment of a candidate convention set with a per-suffix
-  disagreement ledger and a gated promote path (the validate-before-
-  trust half of tracking a changing Internet).
+* :mod:`repro.serve.shadow` -- :class:`ShadowLedger`, the per-suffix
+  disagreement ledger behind shadow mode, and the report builders
+  that merge it across workers (the validate-before-trust half of
+  tracking a changing Internet).
+
+The metrics primitives (:class:`MetricsRegistry` and friends) live in
+:mod:`repro.obs.metrics` and are re-exported here.
 
 CLI surface: ``repro-hoiho annotate`` (bulk), ``repro-hoiho serve``
 (line-oriented stdin/stdout loop), ``repro-hoiho serve-http``
@@ -75,7 +80,7 @@ from repro.serve.loadgen import (
     run_loadgen,
     workload_fingerprint,
 )
-from repro.serve.metrics import (
+from repro.obs.metrics import (
     Counter,
     Histogram,
     LabelledCounter,
@@ -86,7 +91,6 @@ from repro.serve.service import AnnotationService
 from repro.serve.shadow import (
     EXAMPLE_CAP,
     ShadowLedger,
-    ShadowService,
     merge_shadow_reports,
     render_shadow_report,
     shadow_report_from_snapshot,
@@ -115,7 +119,6 @@ __all__ = [
     "SINKS",
     "ServerProcess",
     "ShadowLedger",
-    "ShadowService",
     "fuse_patterns",
     "iter_hostnames",
     "jsonl_line",

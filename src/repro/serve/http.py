@@ -38,14 +38,23 @@ Endpoints (JSON in/out, HTTP/1.1 keep-alive):
   primary (atomic, via the same ``reload_result`` machinery), gated by
   ``--promote-threshold`` when configured.
 
-The shadow admin verbs follow the reload pattern in pre-fork mode: one
-worker cannot touch its siblings' candidate, so ``/admin/shadow``
-SIGUSR1s the parent and ``/admin/shadow/promote`` SIGUSR2s it (202),
-and the parent broadcasts to every worker -- SIGHUP:reload ::
-SIGUSR1:shadow-load :: SIGUSR2:promote.  The report merges per-worker
-``stats()`` snapshots from the shared metrics directory through
+The three hot-swap verbs -- reload, shadow-load, promote -- are rows
+of one table, :data:`ADMIN_VERBS`.  Each row names its endpoint, its
+signal (SIGHUP:reload :: SIGUSR1:shadow-load :: SIGUSR2:promote), the
+service call it makes, its success/error counters, and its ``*_failed``
+log event, and the table drives every place a verb appears: one
+endpoint flow (request naming another file -> 400, not configured ->
+409, pre-fork -> signal the parent and answer 202, single process ->
+run inline and answer 200, failure -> 500), the workers' signal
+handlers, and the pre-fork parent's broadcast set.  Pre-fork, one
+worker cannot swap its siblings' state, so the parent re-sends the
+signal to every worker.  Promote puts its merged-report gate in front
+of that flow.  The report merges per-worker ``stats()`` snapshots from
+the shared metrics directory through
 :func:`repro.serve.shadow.merge_shadow_reports` (staleness bounded by
-``flush_interval``; the serving worker flushes itself first).
+``flush_interval``; the serving worker flushes itself first).  "Shadow
+mode" means ``HttpConfig.shadow`` is set; the candidate itself lives
+in the :class:`~repro.serve.service.AnnotationService`.
 
 Protection: request bodies above ``max_body`` are rejected with 413
 (and the connection closed -- the body is never read); when more than
@@ -77,8 +86,8 @@ until in-flight annotation requests hit zero (bounded by
 ``drain_timeout``), then stops accepting, flushes a final metrics
 snapshot, and exits 0.  The parent forwards signals, reaps every
 worker, merges their final snapshots, and writes ``metrics_out``.
-SIGHUP is the out-of-band reload broadcast (what ``/admin/reload``
-uses to reach sibling workers).
+The admin verbs' signals are the out-of-band broadcasts their
+endpoints use to reach sibling workers.
 
 ``ServerProcess`` wraps the whole tree (parent + workers) in one child
 process for tests, benchmarks, and the load generator
@@ -97,16 +106,18 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.logjson import JsonLogger, new_request_id, open_json_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import to_prometheus
 from repro.obs.timeseries import HistoryStore, RollingWindows
 from repro.obs.trace import Tracer
-from repro.serve.service import AnnotationService
-from repro.serve.shadow import ShadowService, merge_shadow_reports, \
+from repro.serve.service import AnnotationService, NoCandidateError, \
+    warmed_service
+from repro.serve.shadow import merge_shadow_reports, \
     merge_shadow_snapshots, shadow_report_from_snapshot
 
 #: Default request-body ceiling (bytes): 8 MiB fits ~100k hostnames.
@@ -207,6 +218,47 @@ class HttpConfig:
             raise ValueError("history interval must be > 0 seconds")
         if self.window_seconds <= 0 or self.window_count < 1:
             raise ValueError("window geometry must be positive")
+
+
+@dataclass(frozen=True)
+class AdminVerb:
+    """One hot-swap admin verb: a row of :data:`ADMIN_VERBS`."""
+
+    #: ``POST`` endpoint.
+    path: str
+    #: Signal a worker runs the verb on; the pre-fork parent forwards it.
+    signum: int
+    #: The swap itself, given the server; returns the new plan count.
+    run: Callable[["AnnotationHTTPServer"], int]
+    #: Counters bumped on success / on failure.
+    ok_counter: str
+    error_counter: str
+    #: Log event when a signalled run fails.
+    failed_event: str
+    #: ``HttpConfig`` field that must be set for the verb to apply.
+    config_field: str
+    #: The error text when it is not (409).
+    unconfigured: str
+    #: Response keys: the verb's outcome and its plan count.
+    done_key: str
+    count_key: str
+    #: "<what> failed: ..." in a 500 body.
+    what: str
+    #: Request/response/log key echoing the configured file, and the
+    #: 400 text when a request names a different one (``None``: the
+    #: verb reads no file).
+    echo_key: Optional[str] = None
+    wrong_file: Optional[str] = None
+    #: Runs between the 409 check and the swap; returns extra response
+    #: fields, or ``None`` once it has replied itself.
+    gate: Optional[Callable[["AnnotationHandler"],
+                            Optional[Dict[str, object]]]] = None
+
+    def echo(self, config: HttpConfig) -> Dict[str, object]:
+        """``{echo_key: configured file}``, or nothing."""
+        if self.echo_key is None:
+            return {}
+        return {self.echo_key: getattr(config, self.config_field)}
 
 
 def create_listener(host: str, port: int, reuse_port: bool = False,
@@ -340,8 +392,8 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         self.config = config
         self.worker_id = worker_id
         self.metrics_dir = metrics_dir
-        #: Parent pid to SIGHUP for a fleet-wide reload (pre-fork
-        #: workers only; ``None`` means reload inline).
+        #: Parent pid an admin verb signals for a fleet-wide swap
+        #: (pre-fork workers only; ``None`` means run it inline).
         self.broadcast_pid: Optional[int] = None
         self.draining = threading.Event()
         self._inflight = 0
@@ -597,89 +649,32 @@ class AnnotationHTTPServer(ThreadingHTTPServer):
         super().server_close()
         self.access_log.close()
 
-    # -- reload ------------------------------------------------------------
+    # -- admin verbs ---------------------------------------------------------
 
-    def reload_inline(self) -> int:
-        """Re-read the configured conventions file; returns plan count.
+    def run_admin(self, verb: AdminVerb) -> int:
+        """Run ``verb`` in this process; returns the new plan count.
 
-        Raises on unreadable/unparseable files -- and the old
-        conventions stay live, because ``reload_json_file`` only swaps
-        after a successful build.
+        Raises when the verb is not configured or its file does not
+        load -- and the previous state stays live, because every swap
+        happens only after a successful build.
         """
-        if not self.config.conventions:
-            raise LookupError("no conventions file configured to reload")
-        count = self.service.reload_json_file(self.config.conventions)
-        self.service.metrics.counter("reloads").inc()
+        if not getattr(self.config, verb.config_field):
+            raise LookupError(verb.unconfigured)
+        count = verb.run(self)
+        self.service.metrics.counter(verb.ok_counter).inc()
         return count
 
-    def _reload_from_signal(self) -> None:
-        """SIGHUP entry: reload, never raise (workers must survive)."""
+    def admin_from_signal(self, verb: AdminVerb) -> None:
+        """A verb's signal entry: run it, never raise (workers must
+        survive)."""
         try:
-            self.reload_inline()
+            self.run_admin(verb)
         except Exception as exc:
-            self.service.metrics.counter("reload_errors").inc()
-            self.log.log("reload_failed", level="error", error=str(exc),
-                         conventions=self.config.conventions)
-
-    # -- shadow ------------------------------------------------------------
-
-    def shadow_service(self) -> Optional[ShadowService]:
-        """This worker's service as a ``ShadowService``, if it is one."""
-        service = self.service
-        return service if isinstance(service, ShadowService) else None
-
-    def shadow_load_inline(self) -> int:
-        """Re-read the configured candidate file; returns its plan count.
-
-        Mirrors :meth:`reload_inline`: raises on unreadable files and
-        missing configuration; a failed load leaves the previous
-        candidate (or no candidate) live.
-        """
-        if not self.config.shadow:
-            raise LookupError("no --shadow candidate file configured")
-        shadow = self.shadow_service()
-        if shadow is None:
-            raise LookupError(
-                "server is not running in shadow mode; restart with "
-                "--shadow")
-        count = shadow.load_candidate_file(self.config.shadow)
-        self.service.metrics.counter("shadow_loads").inc()
-        return count
-
-    def _shadow_load_from_signal(self) -> None:
-        """SIGUSR1 entry: load the candidate, never raise."""
-        try:
-            self.shadow_load_inline()
-        except Exception as exc:
-            self.service.metrics.counter("shadow_load_errors").inc()
-            self.log.log("shadow_load_failed", level="error",
-                         error=str(exc), candidate=self.config.shadow)
-        else:
-            if self.metrics_dir is not None:
-                self.flush_metrics()  # publish the cleared ledger now
-
-    def promote_inline(self) -> int:
-        """Swap the candidate in as primary; returns the plan count."""
-        shadow = self.shadow_service()
-        if shadow is None:
-            raise LookupError(
-                "server is not running in shadow mode; restart with "
-                "--shadow")
-        count = shadow.promote()
-        self.service.metrics.counter("shadow_promotes").inc()
-        return count
-
-    def _shadow_promote_from_signal(self) -> None:
-        """SIGUSR2 entry: promote, never raise."""
-        try:
-            self.promote_inline()
-        except Exception as exc:
-            self.service.metrics.counter("shadow_promote_errors").inc()
-            self.log.log("shadow_promote_failed", level="error",
-                         error=str(exc))
-        else:
-            if self.metrics_dir is not None:
-                self.flush_metrics()  # publish the cleared ledger now
+            self.service.metrics.counter(verb.error_counter).inc()
+            self.log.log(verb.failed_event, level="error", error=str(exc),
+                         **verb.echo(self.config))
+        if self.metrics_dir is not None:
+            self.flush_metrics()  # publish the new state or error now
 
     def shadow_report(self) -> Dict[str, object]:
         """The disagreement report this worker can see.
@@ -927,81 +922,6 @@ class AnnotationHandler(BaseHTTPRequestHandler):
         finally:
             server.end_request()
 
-    def _ep_reload(self) -> None:
-        server = self.server
-        payload = self._read_json(allow_empty=True)
-        if payload is _READ_ERROR:
-            return
-        configured = server.config.conventions
-        if isinstance(payload, dict) and payload.get("conventions") \
-                and payload["conventions"] != configured:
-            self._send_json(400, {
-                "error": "reload re-reads the configured conventions "
-                         "file; restart to change it",
-                "conventions": configured})
-            return
-        if not configured:
-            self._send_json(409, {
-                "error": "server was not started from a conventions "
-                         "file; nothing to reload"})
-            return
-        if server.broadcast_pid is not None:
-            # Pre-fork: one worker cannot swap its siblings' indexes;
-            # SIGHUP the parent, which broadcasts to every worker
-            # (including this one).  Asynchronous by construction.
-            os.kill(server.broadcast_pid, signal.SIGHUP)
-            self._send_json(202, {"reloaded": "signalled",
-                                  "workers": server.config.workers,
-                                  "conventions": configured})
-            return
-        try:
-            count = server.reload_inline()
-        except Exception as exc:
-            server.service.metrics.counter("reload_errors").inc()
-            self._send_json(500, {"error": "reload failed: %s" % exc,
-                                  "conventions": configured})
-            return
-        self._send_json(200, {"reloaded": True, "suffixes": count,
-                              "conventions": configured})
-
-    def _ep_shadow(self) -> None:
-        """POST /admin/shadow: (re)load the configured candidate file."""
-        server = self.server
-        payload = self._read_json(allow_empty=True)
-        if payload is _READ_ERROR:
-            return
-        configured = server.config.shadow
-        if isinstance(payload, dict) and payload.get("candidate") \
-                and payload["candidate"] != configured:
-            self._send_json(400, {
-                "error": "shadow load re-reads the configured --shadow "
-                         "file; restart to change it",
-                "candidate": configured})
-            return
-        if not configured or server.shadow_service() is None:
-            self._send_json(409, {
-                "error": "server was not started with --shadow; "
-                         "nothing to load"})
-            return
-        if server.broadcast_pid is not None:
-            # Pre-fork: same discipline as reload -- one worker cannot
-            # load its siblings' candidates, so SIGUSR1 the parent,
-            # which broadcasts to every worker (including this one).
-            os.kill(server.broadcast_pid, signal.SIGUSR1)
-            self._send_json(202, {"shadow": "signalled",
-                                  "workers": server.config.workers,
-                                  "candidate": configured})
-            return
-        try:
-            count = server.shadow_load_inline()
-        except Exception as exc:
-            server.service.metrics.counter("shadow_load_errors").inc()
-            self._send_json(500, {"error": "shadow load failed: %s" % exc,
-                                  "candidate": configured})
-            return
-        self._send_json(200, {"shadow": True, "candidate_suffixes": count,
-                              "candidate": configured})
-
     def _ep_shadow_report(self) -> None:
         """GET /admin/shadow/report: the merged disagreement ledger."""
         server = self.server
@@ -1009,25 +929,58 @@ class AnnotationHandler(BaseHTTPRequestHandler):
         report["promote_threshold"] = server.config.promote_threshold
         self._send_json(200, report)
 
-    def _ep_shadow_promote(self) -> None:
-        """POST /admin/shadow/promote: gate, then swap candidate in."""
+    def _ep_admin(self, verb: AdminVerb) -> None:
+        """POST to an admin verb: the flow reload, shadow-load and
+        promote share (see the module docstring)."""
         server = self.server
         payload = self._read_json(allow_empty=True)
         if payload is _READ_ERROR:
             return
-        if server.shadow_service() is None:
-            self._send_json(409, {
-                "error": "server was not started with --shadow; "
-                         "nothing to promote"})
+        configured = getattr(server.config, verb.config_field)
+        echo = verb.echo(server.config)
+        if echo and isinstance(payload, dict) \
+                and payload.get(verb.echo_key) \
+                and payload[verb.echo_key] != configured:
+            self._send_json(400, {"error": verb.wrong_file, **echo})
             return
-        # The gate runs on the *merged* report (every worker's ledger),
-        # before any swap happens anywhere.
-        report = server.shadow_report()
+        if not configured:
+            self._send_json(409, {"error": verb.unconfigured})
+            return
+        extra: Optional[Dict[str, object]] = {}
+        if verb.gate is not None:
+            extra = verb.gate(self)
+            if extra is None:
+                return
+        if server.broadcast_pid is not None:
+            # Pre-fork: signal the parent, which broadcasts to every
+            # worker (including this one).  Asynchronous by construction.
+            os.kill(server.broadcast_pid, verb.signum)
+            self._send_json(202, {verb.done_key: "signalled",
+                                  "workers": server.config.workers,
+                                  **echo, **extra})
+            return
+        try:
+            count = server.run_admin(verb)
+        except NoCandidateError as exc:
+            self._send_json(409, {"error": str(exc)})
+            return
+        except Exception as exc:
+            server.service.metrics.counter(verb.error_counter).inc()
+            self._send_json(500, {"error": "%s failed: %s" % (verb.what, exc),
+                                  **echo})
+            return
+        self._send_json(200, {verb.done_key: True, verb.count_key: count,
+                              **echo, **extra})
+
+    def _promote_gate(self) -> Optional[Dict[str, object]]:
+        """Promote's gate, on the *merged* report (every worker's
+        ledger), before any swap happens anywhere."""
+        report = self.server.shadow_report()
         if not report["active"]:
             self._send_json(409, {
                 "error": "no shadow candidate loaded; nothing to promote"})
-            return
-        threshold = server.config.promote_threshold
+            return None
+        threshold = self.server.config.promote_threshold
         fraction = report["disagreement_fraction"]
         if threshold is not None and fraction > threshold:
             self._send_json(409, {
@@ -1037,25 +990,46 @@ class AnnotationHandler(BaseHTTPRequestHandler):
                 "promote_threshold": threshold,
                 "disagreements": report["disagreements"],
                 "requests": report["requests"]})
-            return
-        if server.broadcast_pid is not None:
-            os.kill(server.broadcast_pid, signal.SIGUSR2)
-            self._send_json(202, {"promoted": "signalled",
-                                  "workers": server.config.workers,
-                                  "disagreement_fraction": fraction})
-            return
-        try:
-            count = server.promote_inline()
-        except LookupError as exc:
-            self._send_json(409, {"error": str(exc)})
-            return
-        except Exception as exc:
-            server.service.metrics.counter("shadow_promote_errors").inc()
-            self._send_json(500, {"error": "promote failed: %s" % exc})
-            return
-        self._send_json(200, {"promoted": True, "suffixes": count,
-                              "disagreement_fraction": fraction})
+            return None
+        return {"disagreement_fraction": fraction}
 
+
+#: The hot-swap admin verbs (see the module docstring).
+ADMIN_VERBS: Tuple[AdminVerb, ...] = (
+    AdminVerb(
+        path="/admin/reload", signum=signal.SIGHUP,
+        run=lambda server: server.service.reload_json_file(
+            server.config.conventions),
+        ok_counter="reloads", error_counter="reload_errors",
+        failed_event="reload_failed", config_field="conventions",
+        unconfigured="server was not started from a conventions file; "
+                     "nothing to reload",
+        done_key="reloaded", count_key="suffixes", what="reload",
+        echo_key="conventions",
+        wrong_file="reload re-reads the configured conventions file; "
+                   "restart to change it"),
+    AdminVerb(
+        path="/admin/shadow", signum=signal.SIGUSR1,
+        run=lambda server: server.service.load_candidate_file(
+            server.config.shadow),
+        ok_counter="shadow_loads", error_counter="shadow_load_errors",
+        failed_event="shadow_load_failed", config_field="shadow",
+        unconfigured="server was not started with --shadow; nothing to "
+                     "load",
+        done_key="shadow", count_key="candidate_suffixes",
+        what="shadow load", echo_key="candidate",
+        wrong_file="shadow load re-reads the configured --shadow file; "
+                   "restart to change it"),
+    AdminVerb(
+        path="/admin/shadow/promote", signum=signal.SIGUSR2,
+        run=lambda server: server.service.promote(),
+        ok_counter="shadow_promotes", error_counter="shadow_promote_errors",
+        failed_event="shadow_promote_failed", config_field="shadow",
+        unconfigured="server was not started with --shadow; nothing to "
+                     "promote",
+        done_key="promoted", count_key="suffixes", what="promote",
+        gate=AnnotationHandler._promote_gate),
+)
 
 _ROUTES: Dict[str, Dict[str, Callable[[AnnotationHandler], None]]] = {
     "/healthz": {"GET": AnnotationHandler._ep_healthz},
@@ -1064,46 +1038,58 @@ _ROUTES: Dict[str, Dict[str, Callable[[AnnotationHandler], None]]] = {
     "/annotate": {"POST": AnnotationHandler._ep_annotate},
     "/annotate/batch": {"POST": AnnotationHandler._ep_annotate_batch},
     "/admin/status": {"GET": AnnotationHandler._ep_status},
-    "/admin/reload": {"POST": AnnotationHandler._ep_reload},
-    "/admin/shadow": {"POST": AnnotationHandler._ep_shadow},
     "/admin/shadow/report": {"GET": AnnotationHandler._ep_shadow_report},
-    "/admin/shadow/promote": {"POST": AnnotationHandler._ep_shadow_promote},
 }
+_ROUTES.update((verb.path, {"POST": partial(AnnotationHandler._ep_admin,
+                                            verb=verb)})
+               for verb in ADMIN_VERBS)
+
+#: What the pre-fork parent passes on to every worker: the drain
+#: signals (SIGINT as SIGTERM) and each admin verb's broadcast.
+PREFORK_FORWARDED = (signal.SIGTERM, signal.SIGINT) + tuple(
+    verb.signum for verb in ADMIN_VERBS)
 
 
 # -- process orchestration -------------------------------------------------
 
 
 def _install_worker_signals(server: AnnotationHTTPServer) -> None:
-    """SIGTERM/SIGINT drain; SIGHUP reloads; SIGUSR1/2 drive shadow.
+    """SIGTERM/SIGINT drain; each admin verb's signal runs that verb.
 
     All run off-thread: ``shutdown`` must not be called from the
     ``serve_forever`` thread, and admin work should never stall
-    accepts.  SIGUSR1 loads the configured shadow candidate, SIGUSR2
-    promotes it -- the broadcast halves of ``/admin/shadow`` and
-    ``/admin/shadow/promote``.
+    accepts.  The verb signals are the broadcast halves of the admin
+    endpoints.
     """
+    verbs = {verb.signum: verb for verb in ADMIN_VERBS}
 
     def _term(signum: int, frame: object) -> None:
         threading.Thread(target=server.drain, daemon=True).start()
 
-    def _hup(signum: int, frame: object) -> None:
-        threading.Thread(target=server._reload_from_signal,
-                         daemon=True).start()
-
-    def _usr1(signum: int, frame: object) -> None:
-        threading.Thread(target=server._shadow_load_from_signal,
-                         daemon=True).start()
-
-    def _usr2(signum: int, frame: object) -> None:
-        threading.Thread(target=server._shadow_promote_from_signal,
-                         daemon=True).start()
+    def _admin(signum: int, frame: object) -> None:
+        threading.Thread(target=server.admin_from_signal,
+                         args=(verbs[signum],), daemon=True).start()
 
     signal.signal(signal.SIGTERM, _term)
     signal.signal(signal.SIGINT, _term)
-    signal.signal(signal.SIGHUP, _hup)
-    signal.signal(signal.SIGUSR1, _usr1)
-    signal.signal(signal.SIGUSR2, _usr2)
+    for signum in verbs:
+        signal.signal(signum, _admin)
+
+
+def _forward_signals(pids: List[int]) -> None:
+    """Pre-fork parent: pass every :data:`PREFORK_FORWARDED` signal on
+    to the workers."""
+
+    def _forward(signum: int, frame: object) -> None:
+        for pid in pids:
+            try:
+                os.kill(pid, signum if signum != signal.SIGINT
+                        else signal.SIGTERM)
+            except ProcessLookupError:
+                pass
+
+    for signum in PREFORK_FORWARDED:
+        signal.signal(signum, _forward)
 
 
 def _write_metrics_out(path: str, snapshot: Dict[str, object]) -> None:
@@ -1215,19 +1201,7 @@ def _serve_prefork(service: AnnotationService, config: HttpConfig,
             parent_log.log("worker_start_failed", level="error", pid=pid)
         os.close(read_fd)
 
-    def _forward(signum: int, frame: object) -> None:
-        for pid in pids:
-            try:
-                os.kill(pid, signum if signum != signal.SIGINT
-                        else signal.SIGTERM)
-            except ProcessLookupError:
-                pass
-
-    signal.signal(signal.SIGTERM, _forward)
-    signal.signal(signal.SIGINT, _forward)
-    signal.signal(signal.SIGHUP, _forward)
-    signal.signal(signal.SIGUSR1, _forward)
-    signal.signal(signal.SIGUSR2, _forward)
+    _forward_signals(pids)
 
     if ready is not None:
         ready(port)
@@ -1316,16 +1290,8 @@ def wait_ready(host: str, port: int, timeout: float = 10.0) -> bool:
 def _server_process_entry(conventions_json: str, config: HttpConfig,
                           memo_size: int, conn: object) -> None:
     """Child entry for :class:`ServerProcess` (module-level: picklable)."""
-    service = AnnotationService.from_json(conventions_json,
-                                          memo_size=memo_size)
-    service.warm()
-    if config.shadow:
-        # Wrap and load before any fork so every worker inherits the
-        # warmed candidate -- the same fork-inheritance property the
-        # primary index relies on.
-        shadow = ShadowService(service)
-        shadow.load_candidate_file(config.shadow)
-        service = shadow
+    service, _ = warmed_service(conventions_json, memo_size=memo_size,
+                                shadow=config.shadow)
     code = serve_http(service, config,
                       ready=lambda port: conn.send(port))  # type: ignore
     sys.exit(code)

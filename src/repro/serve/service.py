@@ -26,7 +26,15 @@ into an always-on annotator with
   are Zipf-skewed, so repeats dominate).  The live ``(index, memo)``
   pair is published as one tuple, read once per request, and swapped
   as one assignment on ``reload_*`` -- a request always sees a
-  consistent pair and a reload atomically invalidates the memo.
+  consistent pair and a reload atomically invalidates the memo;
+* **shadow mode** -- :meth:`load_candidate` loads a second convention
+  set beside the live one (an inner service with its own registry and
+  memo).  Every request is then annotated against both, callers only
+  ever see the live set's answer, and the per-suffix agreement folds
+  into a :class:`~repro.serve.shadow.ShadowLedger` until
+  :meth:`promote` swaps the candidate in.  A service that never loads
+  a candidate carries no ledger and snapshots exactly like one that
+  cannot shadow.
 
 Latency semantics: :meth:`annotate_one` records its own wall time per
 request.  :meth:`annotate_batch` runs a tight aggregated loop for
@@ -41,19 +49,25 @@ chunked streaming and optional process fan-out.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import IO, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.hoiho import HoihoResult
 from repro.core.io import conventions_from_json, conventions_to_json
 from repro.serve.index import DispatchIndex, normalize_hostname
 from repro.serve.memo import ABSENT, AnnotationMemo, DEFAULT_MEMO_SIZE
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.shadow import ShadowLedger, shadow_report_from_snapshot
 from repro.store import KIND_HOIHO, ArtifactStore
 
 #: Shared ``(asn, suffix)`` entry for malformed inputs and plain
 #: misses -- one allocation for the whole module.
 _NO_MATCH: Tuple[None, None] = (None, None)
+
+
+class NoCandidateError(LookupError):
+    """:meth:`AnnotationService.promote` with no shadow candidate."""
 
 
 class AnnotationService:
@@ -106,6 +120,15 @@ class AnnotationService:
         self._memo_hits = self.metrics.counter("memo_hits")
         self._memo_misses = self.metrics.counter("memo_misses")
         self._memo_evictions = self.metrics.counter("memo_evictions")
+        #: The shadow candidate: published by single assignment
+        #: (GIL-atomic), read once per request; ``None`` = not shadowing.
+        self._candidate: Optional[AnnotationService] = None
+        #: Created by the first ``load_candidate`` (so a service that
+        #: never shadows has no ``shadow_*`` instruments) and kept for
+        #: good: after a promote it still reports the empty epoch.
+        self._ledger: Optional[ShadowLedger] = None
+        #: Serializes candidate load and promote (readers never take it).
+        self._swap_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -152,7 +175,8 @@ class AnnotationService:
         return self._state[1]
 
     def warm(self) -> int:
-        """Pre-compile every plan; returns the number of plans."""
+        """Pre-compile every plan; returns the number of plans.  (A
+        shadow candidate is warmed when it loads.)"""
         return self._state[0].warm()
 
     def reload_result(self, result: HoihoResult) -> int:
@@ -179,6 +203,9 @@ class AnnotationService:
         self._index = index
         self._state = (index, memo)
         self._sync_memo_counters(memo)
+        if self._ledger is not None:
+            # Comparisons against the old set are no longer meaningful.
+            self._ledger.clear()
         return len(index)
 
     def reload_json(self, text: str) -> int:
@@ -199,6 +226,109 @@ class AnnotationService:
                 % store.fingerprint(payload))
         return self.reload_result(result)  # type: ignore[arg-type]
 
+    # -- shadow mode -------------------------------------------------------
+
+    @property
+    def candidate(self) -> Optional["AnnotationService"]:
+        """The candidate-side service (``None`` when not shadowing)."""
+        return self._candidate
+
+    def load_candidate(self, result: HoihoResult) -> int:
+        """Load (or replace) the shadow candidate; returns its plan count.
+
+        The candidate gets its own registry (its counters must not
+        pollute this one -- request accounting stays identical to a
+        plain service) and its own memo, built and warmed before the
+        swap.  Loading starts a fresh ledger epoch.
+
+        >>> from repro.core.hoiho import Hoiho
+        >>> from repro.core.types import TrainingItem
+        >>> old = Hoiho().run([
+        ...     TrainingItem("as%d.pop%d.example.com" % (a, i), a)
+        ...     for i, a in enumerate([3356, 1299, 174, 2914])])
+        >>> service = AnnotationService(old)
+        >>> service.load_candidate(old) > 0     # identical candidate
+        True
+        >>> service.annotate_one("as8075.pop1.example.com")
+        8075
+        >>> service.report()["disagreements"]
+        0
+        """
+        candidate = AnnotationService(result, metrics=MetricsRegistry(),
+                                      usable_only=self.usable_only,
+                                      memo_size=self.memo_size,
+                                      fuse=self.fuse)
+        candidate.warm()
+        with self._swap_lock:
+            if self._ledger is None:
+                self._ledger = ShadowLedger(self.metrics)
+            self._candidate = candidate
+            self._ledger.clear()
+        return len(candidate.index)
+
+    def load_candidate_json(self, text: str) -> int:
+        """Load the candidate from serialized conventions."""
+        return self.load_candidate(conventions_from_json(text))
+
+    def load_candidate_file(self, path: str) -> int:
+        """Load the candidate from a conventions JSON file."""
+        with open(path, encoding="utf-8") as handle:
+            return self.load_candidate_json(handle.read())
+
+    def promote(self) -> int:
+        """Make the candidate the live set; returns the new plan count.
+
+        The swap rides :meth:`reload_result` (built and warmed before
+        the single-assignment publish; in-flight requests keep the old
+        index), which also clears the ledger, and the candidate slot
+        empties -- the service keeps serving, now from the promoted
+        set, until the next ``load_candidate``.  Raises
+        :class:`NoCandidateError` (a ``LookupError``) when no candidate
+        is loaded.
+        """
+        with self._swap_lock:
+            candidate = self._candidate
+            if candidate is None:
+                raise NoCandidateError(
+                    "no shadow candidate loaded; nothing to promote")
+            self._candidate = None
+            return self.reload_result(candidate.result)
+
+    def disagreement_fraction(self) -> float:
+        """Current epoch's disagreeing-request fraction (0 if none)."""
+        ledger = self._ledger
+        return ledger.disagreement_fraction() if ledger is not None \
+            else 0.0
+
+    def report(self) -> dict:
+        """This process's disagreement report (see
+        :func:`~repro.serve.shadow.shadow_report_from_snapshot`)."""
+        return shadow_report_from_snapshot(self.stats())
+
+    def _shadow_outcome(self, candidate: "AnnotationService",
+                        hostname: object,
+                        ) -> Tuple[Optional[int], Optional[str]]:
+        # Normalize once, annotate twice: both sides see the same key,
+        # and the dual-annotation overhead stays regex work, not
+        # repeated string scrubbing.
+        key = normalize_hostname(hostname)
+        entry = self.annotate_outcome(key, prenormalized=True)
+        shadow_entry = candidate.annotate_outcome(key, prenormalized=True)
+        self._ledger.observe_one(hostname, entry, shadow_entry)
+        return entry
+
+    def _shadow_batch(self, candidate: "AnnotationService",
+                      hostnames: Iterable[object],
+                      ) -> List[Tuple[Optional[int], Optional[str]]]:
+        if not isinstance(hostnames, (list, tuple)):
+            hostnames = list(hostnames)  # both sides must see one stream
+        keys = [normalize_hostname(hostname) for hostname in hostnames]
+        entries = self.annotate_batch_entries(keys, prenormalized=True)
+        shadow_entries = candidate.annotate_batch_entries(
+            keys, prenormalized=True)
+        self._ledger.observe_entries(hostnames, entries, shadow_entries)
+        return entries
+
     # -- per-request API ---------------------------------------------------
 
     def annotate_one(self, hostname: object) -> Optional[int]:
@@ -211,17 +341,20 @@ class AnnotationService:
         """Annotate one hostname, returning ``(asn, suffix)``.
 
         The suffix is the convention that supplied the extraction
-        (``None`` on miss or malformed input).  This is what
-        :class:`~repro.serve.shadow.ShadowService` compares across
-        convention sets; metrics accounting is identical to
-        :meth:`annotate_one`.
+        (``None`` on miss or malformed input).  This is what shadow
+        mode compares across convention sets; metrics accounting is
+        identical to :meth:`annotate_one`.
 
         ``prenormalized=True`` asserts the input is already a
         :func:`normalize_hostname` output (a lowercase key, or ``None``
-        for malformed).  Shadow mode uses it to normalize once and
-        annotate against two convention sets; anything else must leave
-        it off, because an unnormalized key would poison the memo.
+        for malformed) and annotates against this service's own set
+        only.  Shadow mode uses it for each side of a request it has
+        normalized once; anything else must leave it off, because an
+        unnormalized key would poison the memo.
         """
+        candidate = self._candidate
+        if candidate is not None and not prenormalized:
+            return self._shadow_outcome(candidate, hostname)
         start = time.perf_counter()
         self._requests.inc()
         index, memo = self._state
@@ -278,11 +411,15 @@ class AnnotationService:
 
         ``prenormalized=True`` asserts every item is already a
         :func:`normalize_hostname` output (a lowercase key, or ``None``
-        for malformed) so the loop skips re-normalizing.  Shadow mode
-        uses it to pay normalization once for two convention sets;
-        anything else must leave it off, because an unnormalized key
-        would poison the memo.
+        for malformed), so the loop skips re-normalizing, and annotates
+        against this service's own set only.  Shadow mode uses it to
+        pay normalization once for two convention sets; anything else
+        must leave it off, because an unnormalized key would poison the
+        memo.
         """
+        candidate = self._candidate
+        if candidate is not None and not prenormalized:
+            return self._shadow_batch(candidate, hostnames)
         start = time.perf_counter()
         index, memo = self._state
         results: List[Tuple[Optional[int], Optional[str]]] = []
@@ -406,8 +543,51 @@ class AnnotationService:
         snapshot["suffixes_indexed"] = len(index)
         snapshot["fused_plans"] = index.fused_plans()
         snapshot["memo"] = memo.stats() if memo is not None else None
+        ledger = self._ledger
+        if ledger is not None:
+            # The ledger counts already ride the instrument maps; the
+            # extra carries what instruments cannot.  The registry merge
+            # ignores it; ``merge_shadow_reports`` folds it across
+            # workers.
+            candidate = self._candidate
+            snapshot["shadow"] = {
+                "active": candidate is not None,
+                "candidate_suffixes": (len(candidate.index)
+                                       if candidate is not None else None),
+                "examples": ledger.examples(),
+            }
         return snapshot
 
     def __repr__(self) -> str:
-        return "AnnotationService(%d suffixes, %d requests)" % (
+        text = "AnnotationService(%d suffixes, %d requests" % (
             len(self._index), self._requests.value)
+        if self._ledger is not None:
+            candidate = self._candidate
+            text += ", candidate=%s" % (len(candidate.index)
+                                        if candidate is not None
+                                        else "none")
+        return text + ")"
+
+
+def warmed_service(conventions_json: str,
+                   memo_size: int = DEFAULT_MEMO_SIZE,
+                   shadow: Optional[str] = None,
+                   log: Optional[IO[str]] = None,
+                   ) -> Tuple[AnnotationService, int]:
+    """Build and warm a service, plus its ``shadow`` candidate file if
+    given; returns the service and its live plan count.
+
+    Everything loads here, before a pre-fork server forks, so every
+    worker inherits the warmed candidate alongside the live index.
+    ``log`` receives the ``# shadowing N candidate convention(s) from
+    FILE`` line the serving commands print.
+    """
+    service = AnnotationService.from_json(conventions_json,
+                                          memo_size=memo_size)
+    warmed = service.warm()
+    if shadow:
+        loaded = service.load_candidate_file(shadow)
+        if log is not None:
+            print("# shadowing %d candidate convention(s) from %s"
+                  % (loaded, shadow), file=log)
+    return service, warmed

@@ -2,43 +2,40 @@
 
 The paper's conventions go stale as operators rename interfaces
 (Section 6); the production answer is to *shadow* a freshly learned
-candidate set behind the live one before trusting it.
-:class:`ShadowService` wraps a primary
-:class:`~repro.serve.service.AnnotationService` plus a candidate
-convention set loaded side-by-side: every request is annotated against
-**both**, callers only ever see the primary's answer, and the
-per-suffix agreement between the two accumulates in a
+candidate set behind the live one before trusting it.  Shadowing is a
+state of :class:`~repro.serve.service.AnnotationService` itself:
+``load_candidate`` loads a candidate set side-by-side, every request is
+then annotated against **both**, callers only ever see the live set's
+answer, and the per-suffix agreement between the two accumulates in a
 :class:`ShadowLedger` until the operator reads the disagreement report
-and decides to promote (or discard) the candidate.
+and decides to ``promote`` (or discard) the candidate.  This module
+holds the ledger and the report builders the service, the HTTP server
+and ``repro-hoiho shadow-report`` share.
 
 Design points:
 
-* **API-compatible** -- the service exposes the full
-  ``AnnotationService`` surface (``annotate_one`` / ``annotate_batch``
-  / ``annotate_pairs`` / ``warm`` / ``reload_*`` / ``stats`` /
-  ``index`` / ``memo`` / ``to_json``), so
-  :class:`~repro.serve.engine.BulkAnnotator` and the HTTP server
-  compose with it unchanged.  (The bulk engine's *process fan-out*
-  serializes only the primary conventions to its workers; shadow
-  comparison is a serving-process feature.)
 * **Ledger lives in the registry** -- agreement counts are labelled
   counters (``shadow_agree`` / ``shadow_primary_only`` /
   ``shadow_candidate_only`` / ``shadow_conflict``, one label per
   suffix) plus ``shadow_requests``/``shadow_disagreements`` totals in
-  the *primary's* :class:`~repro.obs.metrics.MetricsRegistry`.  They
-  ride every ``stats()`` snapshot, so the pre-fork HTTP server's
-  per-worker flushes merge fleet-wide through the existing
+  the *live* service's :class:`~repro.obs.metrics.MetricsRegistry`,
+  created by the first ``load_candidate``.  They ride every
+  ``stats()`` snapshot, so the pre-fork HTTP server's per-worker
+  flushes merge fleet-wide through the existing
   ``MetricsRegistry.merge_snapshot`` -- no new aggregation machinery.
   Capped example hostnames per divergence class travel in the
   snapshot's ``shadow`` extra and are merged by
   :func:`merge_shadow_reports`.
-* **Atomic state** -- the candidate service is published by a single
-  attribute assignment (GIL-atomic), read once per request; ``promote``
-  swaps the candidate's conventions into the primary through the
-  existing atomic ``reload_result`` machinery and clears the ledger.
-  Each side keeps its own memo, so the dual-annotation cost on a
-  memo-warm Zipf stream stays near 2x a single set (the bench ``shadow``
-  section holds it under 2.2x).
+* **Atomic state** -- the candidate (an inner service with its own
+  registry and memo) is published by a single attribute assignment
+  (GIL-atomic) and read once per request; ``promote`` swaps the
+  candidate's conventions in through the existing atomic
+  ``reload_result`` machinery and clears the ledger.  Each side keeps
+  its own memo, so the dual-annotation cost on a memo-warm Zipf stream
+  stays near 2x a single set (the bench ``shadow`` section holds it
+  under 2.2x).  The bulk engine's *process fan-out* serializes only
+  the live conventions to its workers; shadow comparison is a
+  serving-process feature.
 
 Divergence classes per request (the suffix label is the side that
 annotated; ``(none)`` when both missed):
@@ -54,15 +51,10 @@ annotated; ``(none)`` when both missed):
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, \
-    Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, \
+    Tuple
 
-from repro.core.hoiho import HoihoResult
-from repro.core.io import conventions_from_json
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.index import DispatchIndex
-from repro.serve.memo import AnnotationMemo
-from repro.serve.service import AnnotationService, normalize_hostname
 
 #: Example hostnames retained per divergence class (first-seen wins;
 #: enough to eyeball what kind of names disagree, small enough to ride
@@ -207,234 +199,6 @@ class ShadowLedger:
             requests = self._requests.value
             return (self._disagreements.value / requests
                     if requests else 0.0)
-
-
-class ShadowService:
-    """An ``AnnotationService`` with a candidate set riding shotgun.
-
-    >>> from repro.core.hoiho import Hoiho
-    >>> from repro.core.types import TrainingItem
-    >>> old = Hoiho().run([TrainingItem("as%d.pop%d.example.com" % (a, i), a)
-    ...                    for i, a in enumerate([3356, 1299, 174, 2914])])
-    >>> service = ShadowService(AnnotationService(old))
-    >>> service.load_candidate(old) > 0     # identical candidate
-    True
-    >>> service.annotate_one("as8075.pop1.example.com")
-    8075
-    >>> service.report()["disagreements"]
-    0
-
-    Without a candidate loaded the service is a pure delegating
-    wrapper -- annotation costs one extra attribute read.
-    """
-
-    def __init__(self, primary: AnnotationService,
-                 candidate: Optional[HoihoResult] = None) -> None:
-        self.primary = primary
-        self.metrics = primary.metrics
-        self.ledger = ShadowLedger(primary.metrics)
-        #: The live candidate service: published by single assignment
-        #: (GIL-atomic), read once per request.
-        self._candidate: Optional[AnnotationService] = None
-        #: Serializes load/promote/clear against each other (readers
-        #: never take it).
-        self._swap_lock = threading.Lock()
-        if candidate is not None:
-            self.load_candidate(candidate)
-
-    # -- candidate lifecycle -----------------------------------------------
-
-    @property
-    def candidate(self) -> Optional[AnnotationService]:
-        """The candidate-side service (``None`` outside shadow runs)."""
-        return self._candidate
-
-    def load_candidate(self, result: HoihoResult) -> int:
-        """Load (or replace) the candidate set; returns its plan count.
-
-        The candidate gets its own registry (its counters must not
-        pollute the primary's -- primary-side metrics stay identical
-        to a plain service) and its own memo, built and warmed before
-        the swap.  Loading starts a fresh ledger epoch.
-        """
-        candidate = AnnotationService(result,
-                                      metrics=MetricsRegistry(),
-                                      usable_only=self.primary.usable_only,
-                                      memo_size=self.primary.memo_size,
-                                      fuse=self.primary.fuse)
-        candidate.warm()
-        with self._swap_lock:
-            self._candidate = candidate
-            self.ledger.clear()
-        return len(candidate.index)
-
-    def load_candidate_json(self, text: str) -> int:
-        """Load the candidate from serialized conventions."""
-        return self.load_candidate(conventions_from_json(text))
-
-    def load_candidate_file(self, path: str) -> int:
-        """Load the candidate from a conventions JSON file."""
-        with open(path, encoding="utf-8") as handle:
-            return self.load_candidate_json(handle.read())
-
-    def promote(self) -> int:
-        """Make the candidate the primary; returns the new plan count.
-
-        The swap rides the primary's atomic ``reload_result`` (built
-        and warmed before the single-assignment publish; in-flight
-        requests keep the old index), the ledger clears, and the
-        candidate slot empties -- the service keeps serving, now from
-        the promoted set, until the next ``load_candidate``.  Raises
-        :class:`LookupError` when no candidate is loaded.
-        """
-        with self._swap_lock:
-            candidate = self._candidate
-            if candidate is None:
-                raise LookupError(
-                    "no shadow candidate loaded; nothing to promote")
-            self._candidate = None
-            count = self.primary.reload_result(candidate.result)
-            self.ledger.clear()
-        return count
-
-    # -- AnnotationService-compatible surface ------------------------------
-
-    @property
-    def result(self) -> HoihoResult:
-        return self.primary.result
-
-    @property
-    def index(self) -> DispatchIndex:
-        return self.primary.index
-
-    @property
-    def memo(self) -> Optional[AnnotationMemo]:
-        return self.primary.memo
-
-    @property
-    def memo_size(self) -> int:
-        return self.primary.memo_size
-
-    @property
-    def usable_only(self) -> bool:
-        return self.primary.usable_only
-
-    @property
-    def fuse(self) -> bool:
-        return self.primary.fuse
-
-    def to_json(self) -> str:
-        """The *primary* convention set, serialized (what fan-out and
-        reload consumers must see -- the candidate never leaks)."""
-        return self.primary.to_json()
-
-    def warm(self) -> int:
-        """Warm both sides; returns the primary's plan count."""
-        candidate = self._candidate
-        if candidate is not None:
-            candidate.warm()
-        return self.primary.warm()
-
-    def reload_result(self, result: HoihoResult) -> int:
-        """Swap the *primary* set (candidate untouched, ledger cleared:
-        comparisons against the old primary are no longer meaningful)."""
-        count = self.primary.reload_result(result)
-        self.ledger.clear()
-        return count
-
-    def reload_json(self, text: str) -> int:
-        return self.reload_result(conventions_from_json(text))
-
-    def reload_json_file(self, path: str) -> int:
-        with open(path, encoding="utf-8") as handle:
-            return self.reload_json(handle.read())
-
-    def reload_store(self, store: object, payload: Mapping) -> int:
-        count = self.primary.reload_store(store, payload)  # type: ignore
-        self.ledger.clear()
-        return count
-
-    def annotate_outcome(self, hostname: object) -> Entry:
-        candidate = self._candidate
-        if candidate is None:
-            return self.primary.annotate_outcome(hostname)
-        # Normalize once, annotate twice: both sides see the same key,
-        # and the dual-annotation overhead stays regex work, not
-        # repeated string scrubbing.
-        key = normalize_hostname(hostname)
-        entry = self.primary.annotate_outcome(key, prenormalized=True)
-        shadow_entry = candidate.annotate_outcome(key, prenormalized=True)
-        self.ledger.observe_one(hostname, entry, shadow_entry)
-        return entry
-
-    def annotate_one(self, hostname: object) -> Optional[int]:
-        """The primary's annotation -- the candidate's never escapes."""
-        return self.annotate_outcome(hostname)[0]
-
-    def annotate_batch_entries(self, hostnames: Iterable[object],
-                               ) -> List[Entry]:
-        candidate = self._candidate
-        if candidate is None:
-            return self.primary.annotate_batch_entries(hostnames)
-        if not isinstance(hostnames, (list, tuple)):
-            hostnames = list(hostnames)  # both sides must see one stream
-        # Normalize once for both sides: hostname scrubbing is pure, so
-        # paying it per side would only inflate the shadow overhead.
-        keys = [normalize_hostname(hostname) for hostname in hostnames]
-        entries = self.primary.annotate_batch_entries(
-            keys, prenormalized=True)
-        shadow_entries = candidate.annotate_batch_entries(
-            keys, prenormalized=True)
-        self.ledger.observe_entries(hostnames, entries, shadow_entries)
-        return entries
-
-    def annotate_batch(self,
-                       hostnames: Iterable[object]) -> List[Optional[int]]:
-        """Batch annotation; result-identical to the primary alone."""
-        return [entry[0]
-                for entry in self.annotate_batch_entries(hostnames)]
-
-    def annotate_pairs(self, hostnames: Iterable[str],
-                       ) -> Iterator[Tuple[str, Optional[int]]]:
-        """Lazily yield ``(hostname, annotation)`` in input order."""
-        for hostname in hostnames:
-            yield hostname, self.annotate_one(hostname)
-
-    # -- observability -----------------------------------------------------
-
-    def stats(self) -> dict:
-        """The primary's snapshot plus a ``shadow`` extra.
-
-        The shadow counters are already inside the snapshot's
-        instrument maps (they live in the primary registry); the extra
-        carries what instruments cannot: whether a candidate is loaded,
-        its size, and the example hostnames per divergence class.
-        ``MetricsRegistry.merge_snapshot`` ignores the extra;
-        :func:`merge_shadow_reports` folds it across workers.
-        """
-        snapshot = self.primary.stats()
-        candidate = self._candidate
-        snapshot["shadow"] = {
-            "active": candidate is not None,
-            "candidate_suffixes": (len(candidate.index)
-                                   if candidate is not None else None),
-            "examples": self.ledger.examples(),
-        }
-        return snapshot
-
-    def disagreement_fraction(self) -> float:
-        """Current epoch's disagreeing-request fraction."""
-        return self.ledger.disagreement_fraction()
-
-    def report(self) -> dict:
-        """This process's disagreement report (see module functions)."""
-        return shadow_report_from_snapshot(self.stats())
-
-    def __repr__(self) -> str:
-        candidate = self._candidate
-        return "ShadowService(%d primary suffixes, candidate=%s)" % (
-            len(self.primary.index),
-            len(candidate.index) if candidate is not None else "none")
 
 
 # -- reports ----------------------------------------------------------------

@@ -88,7 +88,6 @@ class TestResolveAliases:
             assert len(routers) <= 1
 
     def test_orphan_addresses_become_singletons(self, world):
-        from repro.util.ipaddr import ip_to_int
         # A destination-host address inside an edge prefix.
         asn = world.graph.asns()[0]
         host = world.plan.edge_prefixes(asn)[0].host(99)

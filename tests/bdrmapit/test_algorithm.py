@@ -1,7 +1,5 @@
 """Unit tests for the annotation heuristics."""
 
-import pytest
-
 from repro.alias.midar import AliasResolution, InferredNode
 from repro.asn.bgp import RouteTable
 from repro.asn.org import ASOrgMap

@@ -1,7 +1,5 @@
 """Unit tests for the section-5 modification (extraction hints)."""
 
-import pytest
-
 from repro.alias.midar import AliasResolution, InferredNode
 from repro.asn.bgp import RouteTable
 from repro.asn.org import ASOrgMap

@@ -1,10 +1,7 @@
 """Unit tests for the AS-name learner (section-7 future work)."""
 
-import pytest
-
 from repro.core.asname import (
     NameHoiho,
-    NameLearnerConfig,
     evaluate_name_regex,
     learn_name_suffix,
 )

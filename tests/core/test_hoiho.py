@@ -1,11 +1,9 @@
 """Tests for the end-to-end learner driver and its gates."""
 
-import pytest
-
 from repro.core.hoiho import Hoiho, HoihoConfig, _has_enough_apparent, \
     learn_suffix
 from repro.core.select import NCClass
-from repro.core.types import SuffixDataset, TrainingItem, group_by_suffix
+from repro.core.types import SuffixDataset, TrainingItem
 
 
 def _items(template, asns, **kw):

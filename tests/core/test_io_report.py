@@ -10,7 +10,7 @@ from repro.core.io import (
     training_to_jsonl,
 )
 from repro.core.report import render_convention, render_result
-from repro.core.types import SuffixDataset, TrainingItem, group_by_suffix
+from repro.core.types import TrainingItem, group_by_suffix
 
 
 @pytest.fixture(scope="module")

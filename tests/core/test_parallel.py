@@ -15,7 +15,7 @@ from repro.core.parallel import (
     fork_inheritance_available,
     parallel_map,
 )
-from repro.core.types import SuffixDataset, TrainingItem, group_by_suffix
+from repro.core.types import TrainingItem, group_by_suffix
 
 
 def _small_world_items():

@@ -1,7 +1,5 @@
 """Unit tests for best-convention selection and classification."""
 
-import pytest
-
 from repro.core.evaluate import NCScore
 from repro.core.regex_model import Regex
 from repro.core.select import (

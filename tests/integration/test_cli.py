@@ -512,7 +512,6 @@ class TestCliHttp:
         import signal
         import subprocess
         import sys
-        import time
         saved = self._conventions_file(tmp_path, capsys)
         metrics = tmp_path / "metrics.json"
         process = subprocess.Popen(

@@ -1,7 +1,5 @@
 """Unit tests for AS-name token generation."""
 
-import pytest
-
 from repro.naming.asnames import as_name_tokens
 
 

@@ -6,11 +6,9 @@ import re
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.asn.relationships import ASRelationships
 from repro.core.congruence import congruent
 from repro.core.regex_model import (
     Alt,
-    Any_,
     Cap,
     CLASS_ALPHA,
     CLASS_DIGIT,

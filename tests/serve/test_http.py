@@ -11,7 +11,6 @@ graceful SIGTERM drain actually exiting 0.
 
 import http.client
 import json
-import os
 import signal
 import socket
 import threading
@@ -28,7 +27,6 @@ from repro.serve.http import (
     MetricsDir,
     ServerProcess,
     create_listener,
-    wait_ready,
 )
 from repro.serve.service import AnnotationService
 
@@ -413,7 +411,6 @@ class TestPreFork:
 
 
 from repro.bench import shadow_divergence_case  # noqa: E402
-from repro.serve.shadow import ShadowService  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -432,16 +429,15 @@ def divergent_world(tmp_path_factory):
 
 @contextmanager
 def live_shadow_server(primary_path, candidate_path, **overrides):
-    """An in-thread *shadow-mode* server, wrapped and loaded the same
-    way ``_server_process_entry`` does it."""
+    """An in-thread *shadow-mode* server, loaded the same way
+    ``_server_process_entry`` does it."""
     service = AnnotationService.from_json_file(primary_path)
     service.warm()
-    shadow = ShadowService(service)
-    shadow.load_candidate_file(candidate_path)
+    service.load_candidate_file(candidate_path)
     config = HttpConfig(port=0, conventions=primary_path,
                         shadow=candidate_path, **overrides)
     sock = create_listener(config.host, 0)
-    server = AnnotationHTTPServer(shadow, config, sock=sock)
+    server = AnnotationHTTPServer(service, config, sock=sock)
     thread = threading.Thread(target=server.serve_forever,
                               kwargs={"poll_interval": 0.01},
                               daemon=True)

@@ -9,6 +9,9 @@ what the server *tells you* while serving.
 import http.client
 import io
 import json
+import signal
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -21,13 +24,19 @@ from repro.core.io import conventions_to_json
 from repro.obs.logjson import JsonLogger
 from repro.obs.timeseries import HistoryStore
 from repro.serve.http import (
+    ADMIN_VERBS,
+    PREFORK_FORWARDED,
     AnnotationHTTPServer,
     HttpConfig,
     MetricsDir,
     ServerProcess,
+    _forward_signals,
+    _install_worker_signals,
     create_listener,
 )
 from repro.serve.service import AnnotationService
+
+RELOAD, SHADOW_LOAD, PROMOTE = ADMIN_VERBS
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +284,7 @@ class TestStructuredDiagnostics:
             stream = io.StringIO()
             server.log = JsonLogger(stream=stream, worker_id=0)
             server.config.conventions = str(tmp_path / "missing.json")
-            server._reload_from_signal()  # must not raise
+            server.admin_from_signal(RELOAD)  # must not raise
             (record,) = read_stream(stream)
         assert record["event"] == "reload_failed"
         assert record["level"] == "error"
@@ -285,7 +294,7 @@ class TestStructuredDiagnostics:
         with live_server(conventions_path) as (server, port):
             stream = io.StringIO()
             server.log = JsonLogger(stream=stream, worker_id=0)
-            server._shadow_load_from_signal()  # not in shadow mode
+            server.admin_from_signal(SHADOW_LOAD)  # not in shadow mode
             (record,) = read_stream(stream)
         assert record["event"] == "shadow_load_failed"
         assert record["level"] == "error"
@@ -294,9 +303,95 @@ class TestStructuredDiagnostics:
         with live_server(conventions_path) as (server, port):
             stream = io.StringIO()
             server.log = JsonLogger(stream=stream, worker_id=0)
-            server._shadow_promote_from_signal()
+            server.admin_from_signal(PROMOTE)
             (record,) = read_stream(stream)
         assert record["event"] == "shadow_promote_failed"
+
+
+def verb_id(verb):
+    return verb.path
+
+
+def counters(server):
+    return server.service.stats()["counters"]
+
+
+@contextmanager
+def restored_signals():
+    """Put back every handler the server trees install."""
+    saved = {signum: signal.getsignal(signum)
+             for signum in PREFORK_FORWARDED}
+    try:
+        yield
+    finally:
+        for signum, handler in saved.items():
+            signal.signal(signum, handler)
+
+
+class TestAdminTable:
+    """Each row of the admin-verb table, through the signal path: what
+    it counts, what it logs, and that both the workers and the pre-fork
+    parent listen for its signal."""
+
+    @pytest.mark.parametrize("verb", ADMIN_VERBS, ids=verb_id)
+    def test_signal_success_counts(self, conventions_path, verb):
+        with live_server(conventions_path,
+                         shadow=conventions_path) as (server, port):
+            server.service.load_candidate_file(conventions_path)
+            server.admin_from_signal(verb)
+            counts = counters(server)
+        assert counts[verb.ok_counter] == 1
+        assert counts.get(verb.error_counter, 0) == 0
+
+    @pytest.mark.parametrize("verb", ADMIN_VERBS, ids=verb_id)
+    def test_signal_failure_counts_and_logs(self, conventions_path,
+                                            tmp_path, verb):
+        missing = str(tmp_path / "missing.json")
+        with live_server(conventions_path) as (server, port):
+            # Both files unreadable, and no candidate to promote.
+            server.config.conventions = missing
+            server.config.shadow = missing
+            stream = io.StringIO()
+            server.log = JsonLogger(stream=stream, worker_id=0)
+            server.admin_from_signal(verb)  # must not raise
+            counts = counters(server)
+            (record,) = read_stream(stream)
+        assert counts[verb.error_counter] == 1
+        assert counts.get(verb.ok_counter, 0) == 0
+        assert record["event"] == verb.failed_event
+        assert record["level"] == "error"
+
+    @pytest.mark.parametrize("verb", ADMIN_VERBS, ids=verb_id)
+    def test_worker_handler_runs_the_verb(self, conventions_path, verb):
+        with restored_signals(), live_server(
+                conventions_path, shadow=conventions_path) as (server,
+                                                               port):
+            server.service.load_candidate_file(conventions_path)
+            _install_worker_signals(server)
+            handler = signal.getsignal(verb.signum)
+            assert callable(handler), "worker ignores %s" % verb.path
+            handler(verb.signum, None)
+            deadline = time.monotonic() + 10
+            while counters(server).get(verb.ok_counter, 0) < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+    @pytest.mark.parametrize("verb", ADMIN_VERBS, ids=verb_id)
+    def test_prefork_parent_forwards_the_signal(self, verb):
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            with restored_signals():
+                _forward_signals([child.pid])
+                handler = signal.getsignal(verb.signum)
+                assert callable(handler), \
+                    "parent does not forward %s" % verb.path
+                handler(verb.signum, None)
+            assert child.wait(10) == -verb.signum
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
 
 
 def read_stream(stream: io.StringIO):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.metrics import (
+from repro.obs.metrics import (
     Counter,
     Histogram,
     LabelledCounter,

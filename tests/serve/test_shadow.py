@@ -1,6 +1,6 @@
-"""Tests for shadow deployment (:mod:`repro.serve.shadow`): the
-divergence ledger, the AnnotationService-compatible wrapper, the
-promote lifecycle, report building/merging, and the acceptance
+"""Tests for shadow deployment (:mod:`repro.serve.shadow` and the
+shadow mode of :class:`AnnotationService`): the divergence ledger, the
+candidate/promote lifecycle, report building/merging, and the acceptance
 properties (shadow-mode answers byte-identical to a plain primary;
 post-promote answers byte-identical to a plain candidate)."""
 
@@ -13,17 +13,15 @@ from repro.bench import shadow_divergence_case, zipf_hostnames
 from repro.core.hoiho import Hoiho
 from repro.core.types import TrainingItem
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.prom import to_prometheus
 from repro.serve.service import AnnotationService
 from repro.serve.shadow import (
-    CLASS_AGREE,
     CLASS_CANDIDATE_ONLY,
-    CLASS_CONFLICT,
     CLASS_PRIMARY_ONLY,
     DIVERGENCE_CLASSES,
     EXAMPLE_CAP,
     MISS_LABEL,
     ShadowLedger,
-    ShadowService,
     merge_shadow_reports,
     render_shadow_report,
     shadow_report_from_snapshot,
@@ -37,7 +35,7 @@ def learned(suffix="example.com"):
 
 
 def shadowed(primary_result, candidate_result):
-    service = ShadowService(AnnotationService(primary_result))
+    service = AnnotationService(primary_result)
     service.load_candidate(candidate_result)
     service.warm()
     return service
@@ -117,7 +115,7 @@ class TestShadowService:
     def test_passthrough_without_candidate(self):
         result = learned()
         plain = AnnotationService(result)
-        shadow = ShadowService(AnnotationService(result))
+        shadow = AnnotationService(result)
         hostnames = ["as100.pop1.example.com", "miss.example.org", ""]
         assert shadow.annotate_batch(hostnames) == \
             plain.annotate_batch(hostnames)
@@ -200,7 +198,7 @@ class TestShadowService:
         assert service.report()["requests"] == 0
 
     def test_promote_without_candidate_raises(self):
-        service = ShadowService(AnnotationService(learned()))
+        service = AnnotationService(learned())
         with pytest.raises(LookupError):
             service.promote()
 
@@ -241,6 +239,26 @@ class TestShadowService:
         assert "candidate=1" in repr(service)
 
 
+class TestShadowStateIsLazy:
+    def test_never_shadowed_service_carries_no_shadow_state(self):
+        service = AnnotationService(learned())
+        service.annotate_batch(["as100.pop1.example.com", "nope.org"])
+        snapshot = service.stats()
+        assert "shadow" not in snapshot
+        for section in ("counters", "labelled", "histograms"):
+            assert not [name for name in snapshot[section]
+                        if name.startswith("shadow_")]
+        assert "shadow_" not in to_prometheus(snapshot)
+
+    def test_promote_leaves_an_inactive_extra(self):
+        service = AnnotationService(learned("example.com"))
+        service.load_candidate(learned("example.org"))
+        service.promote()
+        extra = service.stats()["shadow"]
+        assert extra["active"] is False
+        assert extra["candidate_suffixes"] is None
+
+
 class TestReports:
     def test_merge_adds_counts_and_caps_examples(self):
         primary, candidate, hostnames, expected = \
@@ -257,7 +275,7 @@ class TestReports:
             assert len(merged["examples"][cls]) == EXAMPLE_CAP
 
     def test_merge_of_inactive_workers_is_inactive(self):
-        services = [ShadowService(AnnotationService(learned()))
+        services = [AnnotationService(learned())
                     for _ in range(2)]
         merged = merge_shadow_reports(s.stats() for s in services)
         assert merged["active"] is False
@@ -281,7 +299,7 @@ class TestReports:
         assert "confl-bench.org" in text
 
     def test_render_without_candidate_says_so(self):
-        service = ShadowService(AnnotationService(learned()))
+        service = AnnotationService(learned())
         assert "(no candidate loaded)" in \
             render_shadow_report(service.report())
 

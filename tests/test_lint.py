@@ -1,6 +1,8 @@
-"""Unused-import check over the package, with the standard library only.
+"""Unused-import check over the package, its tests and its benchmarks,
+with the standard library only.
 
-    python tests/test_lint.py [PATH ...]     (default: src/repro)
+    python tests/test_lint.py [PATH ...]
+        (default: src/repro, tests and benchmarks)
 
 prints ``file:line: 'name' imported but unused`` for each finding and
 exits 1 if there is any.  An import counts as used when its bound name
@@ -20,6 +22,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: What ``make lint`` and the tier-1 tests check (``perfbench/`` is not).
+LINTED = (ROOT / "src" / "repro", ROOT / "tests", ROOT / "benchmarks")
 
 
 def _bindings(tree: ast.AST) -> Iterator[Tuple[str, int]]:
@@ -106,6 +111,10 @@ def test_package_has_no_unused_imports():
     assert findings([ROOT / "src" / "repro"]) == []
 
 
+def test_tests_and_benchmarks_have_no_unused_imports():
+    assert findings([ROOT / "tests", ROOT / "benchmarks"]) == []
+
+
 def test_checker_sees_every_kind_of_use(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text(
@@ -129,7 +138,7 @@ def test_checker_sees_every_kind_of_use(tmp_path):
 
 
 def main(argv: List[str]) -> int:
-    roots = [Path(arg).resolve() for arg in argv] or [ROOT / "src" / "repro"]
+    roots = [Path(arg).resolve() for arg in argv] or list(LINTED)
     found = findings(roots)
     for line in found:
         print(line)

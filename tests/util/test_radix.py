@@ -1,7 +1,5 @@
 """Unit tests for the radix trie."""
 
-import pytest
-
 from repro.util.ipaddr import IPv4Prefix, ip_to_int
 from repro.util.radix import RadixTrie
 

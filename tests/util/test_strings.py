@@ -1,7 +1,5 @@
 """Unit tests for repro.util.strings."""
 
-import pytest
-
 from repro.util.strings import (
     DigitRun,
     common_prefix_len,
