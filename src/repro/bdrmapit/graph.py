@@ -17,9 +17,9 @@ For every inferred node the graph records:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from repro.alias.midar import AliasResolution
 from repro.asn.bgp import IXP_ASN, RouteTable, UNKNOWN_ASN
@@ -65,9 +65,6 @@ class RouterGraph:
     states: Dict[str, NodeState]
     resolution: AliasResolution
     route_table: RouteTable
-    # node -> addresses of subsequent IXP-LAN interfaces (resolved via the
-    # owning node's annotation during iteration)
-    ixp_subsequent: Dict[str, Counter] = field(default_factory=dict)
 
     def state(self, node_id: str) -> NodeState:
         """State for ``node_id`` (KeyError when never observed)."""
@@ -81,48 +78,39 @@ class RouterGraph:
 def build_router_graph(resolution: AliasResolution,
                        traces: Iterable[Trace],
                        route_table: RouteTable) -> RouterGraph:
-    """Accumulate per-node state from a trace collection."""
-    states: Dict[str, NodeState] = {}
-    ixp_subsequent: Dict[str, Counter] = defaultdict(Counter)
+    """Accumulate per-node state from a trace collection.
 
-    def state_for(node_id: str) -> NodeState:
-        state = states.get(node_id)
-        if state is None:
-            state = NodeState(node_id=node_id)
-            states[node_id] = state
-        return state
+    One pass per trace: anonymous hops and addresses without a node are
+    skipped, and consecutive hops on the same node collapse into one
+    visit whose address is the one the node was first entered by.
+    """
+    states: Dict[str, NodeState] = {}
 
     # Interface origins per node.
     for node_id, node in resolution.nodes.items():
-        state = state_for(node_id)
+        state = states[node_id] = NodeState(node_id=node_id)
         for address in node.addresses:
             state.origins[route_table.origin(address)] += 1
 
+    node_of_address = resolution.node_of_address
     for trace in traces:
-        hops = trace.responsive_hops()
-        if not hops:
-            continue
-        node_path: List[Tuple[str, int]] = []
-        for address in hops:
-            node_id = resolution.node_of_address.get(address)
-            if node_id is None:
-                continue
-            if node_path and node_path[-1][0] == node_id:
-                continue
-            node_path.append((node_id, address))
-
         dest_origin = trace.dst_asn
-        for position, (node_id, _) in enumerate(node_path):
-            state = state_for(node_id)
+        state = None
+        for address in trace.hops:
+            if address is None:
+                continue
+            node_id = node_of_address.get(address)
+            if node_id is None or (state is not None
+                                   and state.node_id == node_id):
+                continue
+            if state is not None:
+                state.subsequent_ifaces[address] += 1
+            state = states.get(node_id)
+            if state is None:
+                state = states[node_id] = NodeState(node_id=node_id)
             state.dests[dest_origin] += 1
-            if position + 1 < len(node_path):
-                next_address = node_path[position + 1][1]
-                state.subsequent_ifaces[next_address] += 1
-                if route_table.is_ixp(next_address):
-                    ixp_subsequent[node_id][next_address] += 1
-        if node_path:
-            last_id, _ = node_path[-1]
-            state_for(last_id).last_hop_dests[dest_origin] += 1
+        if state is not None:
+            state.last_hop_dests[dest_origin] += 1
 
     # Mark link mates: a subsequent address in the same /30 as one of the
     # node's own addresses.
@@ -136,5 +124,4 @@ def build_router_graph(resolution: AliasResolution,
                 state.mates.add(address)
 
     return RouterGraph(states=states, resolution=resolution,
-                       route_table=route_table,
-                       ixp_subsequent=dict(ixp_subsequent))
+                       route_table=route_table)

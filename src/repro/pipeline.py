@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 from repro.bdrmapit.algorithm import AnnotationConfig, annotate
 from repro.bdrmapit.graph import RouterGraph, build_router_graph
 from repro.core.types import TrainingItem
-from repro.itdk.builder import BuildConfig, BuiltSnapshot, build_snapshot
+from repro.itdk.builder import BuildConfig, build_snapshot
 from repro.itdk.snapshot import ITDKSnapshot
 from repro.naming.assigner import NamingConfig, NamingOutcome, assign_hostnames
 from repro.obs.trace import NULL_TRACER
@@ -24,7 +24,7 @@ from repro.peeringdb.builder import PeeringDBConfig, build_peeringdb
 from repro.peeringdb.snapshot import PeeringDBSnapshot
 from repro.rtaa.rtaa import assign_asns as rtaa_assign
 from repro.topology.world import World
-from repro.traceroute.campaign import CampaignConfig
+from repro.traceroute.campaign import CampaignConfig, run_campaign
 from repro.traceroute.probe import Trace
 from repro.traceroute.routing import RoutingModel
 from repro.util.ipaddr import int_to_ip
@@ -60,16 +60,32 @@ class SnapshotSpec:
 
 @dataclass
 class SnapshotResult:
-    """Everything produced for one snapshot."""
+    """Everything produced for one snapshot.
+
+    ``graph`` is bdrmapIT's router graph over the snapshot's traces.
+    bdrmapIT snapshots build it to annotate; RouterToAsAssignment
+    snapshots never read it, so theirs is built on first read (and a
+    timeline pickled before that read carries none).
+    """
 
     spec: SnapshotSpec
     world: World
     naming: NamingOutcome
     snapshot: ITDKSnapshot
-    graph: RouterGraph
     annotations: Dict[str, int]
     training: List[TrainingItem] = field(default_factory=list)
     traces: List["Trace"] = field(default_factory=list)
+    _graph: Optional[RouterGraph] = field(default=None, repr=False,
+                                          compare=False)
+
+    @property
+    def graph(self) -> RouterGraph:
+        """The router graph (built here on first read if not yet)."""
+        if self._graph is None:
+            self._graph = build_router_graph(self.snapshot.resolution,
+                                             self.traces,
+                                             self.world.plan.route_table)
+        return self._graph
 
 
 def run_snapshot(world: World, spec: SnapshotSpec,
@@ -80,7 +96,9 @@ def run_snapshot(world: World, spec: SnapshotSpec,
     ``tracer`` wraps the run in a ``snapshot`` span (labelled with the
     spec's label/method) with one child span per stage -- the record
     ``trace summary`` renders per snapshot when the timeline fans these
-    out to worker processes.
+    out to worker processes.  The traceroute campaign has its own
+    ``snapshot.campaign`` span inside ``snapshot.build``; the
+    ``snapshot.graph`` span appears only for bdrmapIT snapshots.
     """
     with tracer.span("snapshot", snapshot=spec.label,
                      method=spec.method) as span:
@@ -89,14 +107,19 @@ def run_snapshot(world: World, spec: SnapshotSpec,
         with tracer.span("snapshot.naming"):
             naming = assign_hostnames(world, spec.seed,
                                       spec.naming_config())
+        build_config = spec.build_config()
         with tracer.span("snapshot.build"):
-            built: BuiltSnapshot = build_snapshot(
-                world, naming, spec.seed, spec.label, routing=routing,
-                config=spec.build_config())
-            snapshot = built.snapshot
-        with tracer.span("snapshot.graph"):
-            graph = build_router_graph(snapshot.resolution, built.traces,
-                                       world.plan.route_table)
+            with tracer.span("snapshot.campaign"):
+                traces = run_campaign(world, routing, spec.seed,
+                                      build_config.campaign)
+            snapshot = build_snapshot(
+                world, naming, spec.seed, spec.label,
+                config=build_config, traces=traces).snapshot
+        graph = None
+        if spec.method == METHOD_BDRMAPIT:
+            with tracer.span("snapshot.graph"):
+                graph = build_router_graph(snapshot.resolution, traces,
+                                           world.plan.route_table)
 
         with tracer.span("snapshot.annotate", method=spec.method):
             if spec.method == METHOD_RTAA:
@@ -115,9 +138,8 @@ def run_snapshot(world: World, spec: SnapshotSpec,
             training = training_items_from_itdk(snapshot)
         span.set(items=len(training))
     return SnapshotResult(spec=spec, world=world, naming=naming,
-                          snapshot=snapshot, graph=graph,
-                          annotations=annotations, training=training,
-                          traces=built.traces)
+                          snapshot=snapshot, annotations=annotations,
+                          training=training, traces=traces, _graph=graph)
 
 
 def training_items_from_itdk(snapshot: ITDKSnapshot) -> List[TrainingItem]:

@@ -43,8 +43,8 @@ of one table, :data:`ADMIN_VERBS`.  Each row names its endpoint, its
 signal (SIGHUP:reload :: SIGUSR1:shadow-load :: SIGUSR2:promote), the
 service call it makes, its success/error counters, and its ``*_failed``
 log event, and the table drives every place a verb appears: one
-endpoint flow (request naming another file -> 400, not configured ->
-409, pre-fork -> signal the parent and answer 202, single process ->
+endpoint flow (not configured -> 409, request naming another file ->
+400, pre-fork -> signal the parent and answer 202, single process ->
 run inline and answer 200, failure -> 500), the workers' signal
 handlers, and the pre-fork parent's broadcast set.  Pre-fork, one
 worker cannot swap its siblings' state, so the parent re-sends the
@@ -937,14 +937,14 @@ class AnnotationHandler(BaseHTTPRequestHandler):
         if payload is _READ_ERROR:
             return
         configured = getattr(server.config, verb.config_field)
+        if not configured:
+            self._send_json(409, {"error": verb.unconfigured})
+            return
         echo = verb.echo(server.config)
         if echo and isinstance(payload, dict) \
                 and payload.get(verb.echo_key) \
                 and payload[verb.echo_key] != configured:
             self._send_json(400, {"error": verb.wrong_file, **echo})
-            return
-        if not configured:
-            self._send_json(409, {"error": verb.unconfigured})
             return
         extra: Optional[Dict[str, object]] = {}
         if verb.gate is not None:

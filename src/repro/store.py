@@ -45,8 +45,10 @@ logger = logging.getLogger(__name__)
 #: scheme; part of every fingerprint.  v2: dict keys are type-tagged
 #: tokens and the payload nests beside the schema version.  v3: the
 #: route table's prefix trie (pickled inside worlds and timelines) is
-#: one dict per prefix length.
-STORE_SCHEMA_VERSION = 3
+#: one dict per prefix length.  v4: ``RouterGraph`` has no
+#: ``ixp_subsequent`` field, and timelines carry router graphs only for
+#: bdrmapIT snapshots.
+STORE_SCHEMA_VERSION = 4
 
 #: Artifact kinds the store recognises (a kind is just a subdirectory).
 KIND_WORLD = "worlds"

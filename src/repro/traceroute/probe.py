@@ -46,8 +46,23 @@ class Trace:
                 if hop is not None and rtt is not None]
 
 
+#: One precomputed hop: (id of the router that answers, the address it
+#: answers with, one-way delay in ms added since the previous hop).
+Hop = Tuple[str, int, float]
+
+#: The hops from a router across its AS and over one interdomain link,
+#: plus the router the probe arrives at; ``None`` when the trace dies.
+Segment = Optional[Tuple[Tuple[Hop, ...], Router]]
+
+
 class Prober:
-    """Expands AS-level routes into router-level traceroute output."""
+    """Expands AS-level routes into router-level traceroute output.
+
+    One prober serves one campaign.  It caches each AS crossing as a
+    :data:`Segment` keyed by (entry router, this AS, next AS), and each
+    walk inside an AS as a tuple of :data:`Hop`; a trace then only adds
+    delay increments and reads the per-router reply table.
+    """
 
     def __init__(self, world: World, routing: RoutingModel,
                  seed: int, anonymous_rate: float = 0.04,
@@ -59,11 +74,14 @@ class Prober:
         self._dest_responds_rate = dest_responds_rate
         rng = substream(seed, "prober")
         # Pre-roll per-router anonymity (a router either answers
-        # traceroute or does not, consistently) and reply jitter.
-        self._anonymous = {router.rid: rng.random() < anonymous_rate
-                           for router in self._topo.routers}
-        self._jitter = {router.rid: 0.1 + 1.4 * rng.random()
-                        for router in self._topo.routers}
+        # traceroute or does not, consistently), then reply jitter:
+        # rid -> jitter, or None for a router that never answers.
+        anonymous = [rng.random() < anonymous_rate
+                     for _ in self._topo.routers]
+        self._reply: Dict[str, Optional[float]] = {}
+        for router, silent in zip(self._topo.routers, anonymous):
+            jitter = 0.1 + 1.4 * rng.random()
+            self._reply[router.rid] = None if silent else jitter
         self._dest_responds = rng  # drawn per destination, lazily
         self._dest_resp_cache: Dict[int, bool] = {}
         # Intra-AS adjacency over internal links.
@@ -76,18 +94,26 @@ class Prober:
                 self._internal[link.b.router.rid].append(
                     (link, link.a.router))
         self._path_cache: Dict[Tuple[str, str],
-                               Optional[List[Tuple[Link, Router]]]] = {}
+                               Optional[Tuple[Hop, ...]]] = {}
+        self._segments: Dict[Tuple[str, int, int], Segment] = {}
+        self._destinations: Dict[int, Tuple[int, Optional[Router]]] = {}
         self._edge_trie: "RadixTrie[Router]" = RadixTrie()
         for prefix, router in self._topo.edge_router_of_prefix.items():
             self._edge_trie.insert(prefix, router)
 
+    @staticmethod
+    def _hop(previous: Router, router: Router, iface: Interface) -> Hop:
+        """``router`` answering on ``iface`` one link after ``previous``."""
+        return (router.rid, iface.address,
+                geo.propagation_ms(previous.loc, router.loc) + 0.05)
+
     # -- intra-AS pathing ---------------------------------------------------
 
     def _internal_path(self, src: Router,
-                       dst: Router) -> Optional[List[Tuple[Link, Router]]]:
-        """Shortest internal path src->dst as (link, next router) steps."""
+                       dst: Router) -> Optional[Tuple[Hop, ...]]:
+        """Hops of the shortest internal path src->dst (None: no path)."""
         if src.rid == dst.rid:
-            return []
+            return ()
         key = (src.rid, dst.rid)
         if key in self._path_cache:
             return self._path_cache[key]
@@ -109,20 +135,20 @@ class Prober:
         if not found:
             self._path_cache[key] = None
             return None
-        steps: List[Tuple[Link, Router]] = []
+        hops: List[Hop] = []
         walk = dst.rid
         while walk != src.rid:
             link, router, previous = parents[walk]
-            steps.append((link, router))
+            arrived = link.a if link.a.router is router else link.b
+            hops.append(self._hop(previous, router, arrived))
             walk = previous.rid
-        steps.reverse()
-        self._path_cache[key] = steps
-        return steps
+        hops.reverse()
+        path = self._path_cache[key] = tuple(hops)
+        return path
 
     # -- interdomain link selection ------------------------------------------
 
-    def _interdomain_link(self, a: int, b: int,
-                          flow: int) -> Optional[Link]:
+    def _interdomain_link(self, a: int, b: int) -> Optional[Link]:
         """The link used between adjacent ASes.
 
         The first provisioned link is primary; any others are cold
@@ -145,17 +171,51 @@ class Prober:
             return link.b
         return None
 
+    def _segment(self, router: Router, this_asn: int,
+                 next_asn: int) -> Segment:
+        """From ``router`` across ``this_asn`` into ``next_asn``.
+
+        The walk goes to the egress border router, then over the
+        interdomain link: the next router answers with its interface
+        address on the shared subnet (supplier-addressed, or the IXP
+        LAN address).  ``None`` when there is no physical link, the
+        link has no side in one of the ASes, or no internal path
+        reaches the egress.
+        """
+        key = (router.rid, this_asn, next_asn)
+        if key in self._segments:
+            return self._segments[key]
+        segment: Segment = None
+        link = self._interdomain_link(this_asn, next_asn)
+        if link is not None:
+            egress = self._link_interface(link, this_asn)
+            ingress = self._link_interface(link, next_asn)
+            if egress is not None and ingress is not None:
+                hops = self._internal_path(router, egress.router)
+                if hops is not None:
+                    crossing = self._hop(egress.router, ingress.router,
+                                         ingress)
+                    segment = (hops + (crossing,), ingress.router)
+        self._segments[key] = segment
+        return segment
+
     # -- hop recording -------------------------------------------------------
 
-    def _record(self, trace: Trace, router: Router,
-                iface: Interface, delay_ms: float) -> None:
-        if self._anonymous[router.rid]:
-            trace.hops.append(None)
-            trace.rtts.append(None)
-        else:
-            trace.hops.append(iface.address)
-            trace.rtts.append(round(2.0 * delay_ms
-                                    + self._jitter[router.rid], 3))
+    def _expand(self, trace: Trace, hops: Tuple[Hop, ...],
+                delay: float) -> float:
+        """Append ``hops`` to ``trace``; returns the cumulative delay."""
+        reply = self._reply
+        add_hop, add_rtt = trace.hops.append, trace.rtts.append
+        for rid, address, increment in hops:
+            delay += increment
+            jitter = reply[rid]
+            if jitter is None:
+                add_hop(None)
+                add_rtt(None)
+            else:
+                add_hop(address)
+                add_rtt(round(2.0 * delay + jitter, 3))
+        return delay
 
     # -- main entry ------------------------------------------------------------
 
@@ -165,9 +225,10 @@ class Prober:
 
         Returns ``None`` when the VP has no route to the destination's
         origin AS; otherwise a :class:`Trace`, possibly truncated when an
-        internal path is missing (treated as unreachable).
+        interdomain link or internal path is missing (treated as
+        unreachable).
         """
-        dst_asn = self._world.origin(dst_address)
+        dst_asn, edge_router = self._destination(dst_address)
         if dst_asn <= 0:
             return None
         as_path = self._routing.as_path(vp_asn, dst_asn)
@@ -175,65 +236,40 @@ class Prober:
             return None
         trace = Trace(vp_asn=vp_asn, dst_address=dst_address,
                       dst_asn=dst_asn, vp_loc=vp_router.loc)
-        flow = dst_address  # deterministic per-destination flow id
 
         current_router = vp_router
         delay = 0.0          # cumulative one-way propagation (ms)
         for position in range(len(as_path) - 1):
-            this_asn, next_asn = as_path[position], as_path[position + 1]
-            link = self._interdomain_link(this_asn, next_asn, flow)
-            if link is None:
-                return trace  # no physical link; trace dies here
-            egress_iface = self._link_interface(link, this_asn)
-            ingress_iface = self._link_interface(link, next_asn)
-            if egress_iface is None or ingress_iface is None:
-                return trace
-            steps = self._internal_path(current_router, egress_iface.router)
-            if steps is None:
-                return trace
-            previous = current_router
-            for internal_link, router in steps:
-                arrived = internal_link.a if internal_link.a.router is router \
-                    else internal_link.b
-                delay += geo.propagation_ms(previous.loc, router.loc) + 0.05
-                self._record(trace, router, arrived, delay)
-                previous = router
-            # Cross the interdomain link: next router answers with the
-            # interface address on the shared subnet (supplier-addressed,
-            # or the IXP LAN address).
-            delay += geo.propagation_ms(previous.loc,
-                                        ingress_iface.router.loc) + 0.05
-            self._record(trace, ingress_iface.router, ingress_iface, delay)
-            current_router = ingress_iface.router
+            segment = self._segment(current_router, as_path[position],
+                                    as_path[position + 1])
+            if segment is None:
+                return trace  # the trace dies here
+            hops, current_router = segment
+            delay = self._expand(trace, hops, delay)
 
         # Inside the destination AS: walk to the edge router hosting the
         # destination prefix, then the destination itself may answer.
-        edge_router = self._edge_router_for(dst_address, dst_asn)
         if edge_router is not None:
-            steps = self._internal_path(current_router, edge_router)
-            if steps is not None:
-                previous = current_router
-                for internal_link, router in steps:
-                    arrived = internal_link.a \
-                        if internal_link.a.router is router \
-                        else internal_link.b
-                    delay += geo.propagation_ms(previous.loc,
-                                                router.loc) + 0.05
-                    self._record(trace, router, arrived, delay)
-                    previous = router
+            hops = self._internal_path(current_router, edge_router)
+            if hops is not None:
+                delay = self._expand(trace, hops, delay)
                 if self._destination_responds(dst_address):
                     trace.hops.append(dst_address)
                     trace.rtts.append(round(2.0 * (delay + 0.05) + 0.5, 3))
                     trace.reached = True
         return trace
 
-    def _edge_router_for(self, address: int,
-                         dst_asn: int) -> Optional[Router]:
-        router = self._edge_trie.lookup(address)
-        if router is not None and router.asn == dst_asn:
-            return router
-        routers = self._topo.routers_by_asn.get(dst_asn)
-        return routers[0] if routers else None
+    def _destination(self, address: int) -> Tuple[int, Optional[Router]]:
+        """Origin AS of ``address`` and the router hosting its prefix."""
+        found = self._destinations.get(address)
+        if found is None:
+            dst_asn = self._world.origin(address)
+            router = self._edge_trie.lookup(address)
+            if router is None or router.asn != dst_asn:
+                routers = self._topo.routers_by_asn.get(dst_asn)
+                router = routers[0] if routers else None
+            found = self._destinations[address] = (dst_asn, router)
+        return found
 
     def _destination_responds(self, address: int) -> bool:
         cached = self._dest_resp_cache.get(address)

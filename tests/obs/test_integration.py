@@ -106,6 +106,8 @@ class TestTracedContext:
                       "snapshot.graph", "snapshot.annotate",
                       "snapshot.training"):
             assert by_name[child][0]["parent"] == snapshot_id
+        assert by_name["snapshot.campaign"][0]["parent"] == \
+            by_name["snapshot.build"][0]["id"]
 
     def test_store_spans_and_counters(self, tmp_path):
         cold = self._context(tmp_path)

@@ -362,6 +362,16 @@ class TestAdminTable:
         assert record["level"] == "error"
 
     @pytest.mark.parametrize("verb", ADMIN_VERBS, ids=verb_id)
+    def test_unconfigured_verb_is_409_whatever_file_is_named(
+            self, conventions_path, verb):
+        with live_server(conventions_path) as (server, port):
+            setattr(server.config, verb.config_field, None)
+            status, _, body = request(port, "POST", verb.path,
+                                      {verb.echo_key or "file": "x"})
+        assert status == 409
+        assert body == {"error": verb.unconfigured}
+
+    @pytest.mark.parametrize("verb", ADMIN_VERBS, ids=verb_id)
     def test_worker_handler_runs_the_verb(self, conventions_path, verb):
         with restored_signals(), live_server(
                 conventions_path, shadow=conventions_path) as (server,

@@ -1,14 +1,23 @@
 """Unit tests for the pipeline glue functions."""
 
+import pickle
+
+import pytest
+
 from repro.alias.midar import AliasResolution, InferredNode
+from repro.bdrmapit.graph import build_router_graph
 from repro.itdk.snapshot import ITDKSnapshot
 from repro.peeringdb.snapshot import NetIXLan, PeeringDBSnapshot
 from repro.pipeline import (
+    METHOD_BDRMAPIT,
+    METHOD_RTAA,
     SnapshotSpec,
+    run_snapshot,
     training_items_from_itdk,
     training_items_from_peeringdb,
 )
 from repro.naming.assigner import NamingConfig
+from repro.topology.world import WorldConfig, generate_world
 from repro.util.ipaddr import ip_to_int
 
 
@@ -81,3 +90,29 @@ class TestSnapshotSpec:
     def test_build_defaults_to_vps(self):
         spec = SnapshotSpec(label="x", n_vps=7)
         assert spec.build_config().campaign.n_vps == 7
+
+
+@pytest.fixture(scope="module")
+def tiny_world():
+    return generate_world(5, WorldConfig.tiny())
+
+
+class TestSnapshotGraph:
+    def test_bdrmapit_snapshot_builds_its_graph(self, tiny_world):
+        result = run_snapshot(tiny_world, SnapshotSpec(
+            label="b", method=METHOD_BDRMAPIT, n_vps=4, seed=1))
+        assert result._graph is not None
+
+    def test_rtaa_graph_is_built_on_first_read(self, tiny_world):
+        result = run_snapshot(tiny_world, SnapshotSpec(
+            label="r", method=METHOD_RTAA, n_vps=4, seed=1))
+        assert result._graph is None
+        # A result pickled before the first read carries no graph.
+        assert pickle.loads(pickle.dumps(result))._graph is None
+        graph = result.graph
+        assert result.graph is graph
+        eager = build_router_graph(result.snapshot.resolution,
+                                   result.traces,
+                                   tiny_world.plan.route_table)
+        assert graph.states == eager.states
+        assert graph.states  # the snapshot saw routers

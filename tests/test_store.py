@@ -137,8 +137,26 @@ class TestStoreRoundTrip:
         monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 2)
         store.put(KIND_WORLD, payload, old)
         monkeypatch.undo()
-        assert STORE_SCHEMA_VERSION == 3
+        assert STORE_SCHEMA_VERSION == 4
         assert store.get(KIND_WORLD, payload) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
+
+    def test_v3_entry_reads_as_miss(self, store, monkeypatch):
+        # Schema 3 pickled a router graph with an ``ixp_subsequent`` map
+        # in every snapshot result, RouterToAsAssignment ones included.
+        # Such a timeline must miss, never unpickle into graphs with a
+        # field the code no longer has.
+        from repro.bdrmapit.graph import RouterGraph
+
+        old = RouterGraph.__new__(RouterGraph)
+        old.__dict__.update(states={}, resolution=None, route_table=None,
+                            ixp_subsequent={})
+        payload = {"kind": "timeline", "seed": 3}
+        monkeypatch.setattr("repro.store.STORE_SCHEMA_VERSION", 3)
+        store.put(KIND_TIMELINE, payload, [old])
+        monkeypatch.undo()
+        assert STORE_SCHEMA_VERSION == 4
+        assert store.get(KIND_TIMELINE, payload) is None
         assert store.stats.misses == 1 and store.stats.hits == 0
 
     def test_contains(self, store):
